@@ -28,6 +28,13 @@ class Basis:
 
 def quadratic_basis_2d() -> Basis:
     """The six distinct degree-2 monomials of (x1, x2, envelope)."""
+    pairs = ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2))
+    # d(z_a z_b)/dz_i = sum_j T[l, i, j] z_j; grad_phi contracts z with T.
+    T = np.zeros((len(pairs), 3, 3))
+    for l, (a, b) in enumerate(pairs):
+        T[l, a, b] += 1.0
+        T[l, b, a] += 1.0
+    T_flat = T.reshape(-1, 3).T.copy()
 
     def phi(z):
         z = np.asarray(z, float)
@@ -37,19 +44,9 @@ def quadratic_basis_2d() -> Basis:
 
     def grad_phi(z):
         z = np.asarray(z, float)
-        z1, z2, z3 = z[..., 0], z[..., 1], z[..., 2]
-        o = np.zeros_like(z1)
-        rows = [
-            (2 * z1, o, o),
-            (z2, z1, o),
-            (o, 2 * z2, o),
-            (z3, o, z1),
-            (o, z3, z2),
-            (o, o, 2 * z3),
-        ]
-        return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+        return (z @ T_flat).reshape(z.shape[:-1] + T.shape[:2])
 
-    return Basis(L=6, phi=phi, grad_phi=grad_phi)
+    return Basis(L=len(pairs), phi=phi, grad_phi=grad_phi)
 
 
 @dataclass(frozen=True)
@@ -151,21 +148,26 @@ def saturation_penalty(config: LearningConfig, u) -> float:
     return float(2.0 * ub * np.sum(r * term))
 
 
+_LOG_2 = np.log(2.0)
+
+
 def _log_cosh(d):
     a = np.abs(d)
-    return a + np.log1p(np.exp(-2.0 * a)) - np.log(2.0)
+    return a + np.log1p(np.exp(-2.0 * a)) - _LOG_2
 
 
-def _saturation_penalty_preact(config: LearningConfig, preact) -> np.ndarray:
+def _saturation_penalty_preact(config: LearningConfig, preact,
+                               tanh_preact=None) -> np.ndarray:
     """Penalty evaluated at u = -u_bar*tanh(preact); stable for large preact.
 
     Uses atanh(u/u_bar) = -preact and ln(1 - tanh^2) = -2 ln cosh, so the
     closed form never touches the atanh singularity when tanh saturates.
+    A caller that already has tanh(preact) passes it in.
     """
     d = np.asarray(preact, float)
-    r = np.diag(config.R_u)
-    term = d * np.tanh(d) - _log_cosh(d)
-    return 2.0 * config.u_bar ** 2 * np.sum(r * term, axis=-1)
+    t = np.tanh(d) if tanh_preact is None else tanh_preact
+    term = d * t - _log_cosh(d)
+    return 2.0 * config.u_bar ** 2 * (config.R_u.diagonal() * term).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -193,49 +195,118 @@ def value_estimate(basis: Basis, spec: SafetySpec | None, mode: BarrierMode,
                  + val)
 
 
-def _policy_preactivation(model, basis, spec, mode, config, zeta, weights,
-                          floor=None):
-    """(R^-1 G' / 2u_bar) (grad_phi' W + grad_B'); shape (..., m)."""
-    zeta = np.asarray(zeta, float)
-    gp = np.asarray(basis.grad_phi(zeta), float)
-    _, gB = _barrier_terms(spec, mode, zeta, floor=floor)
-    vgrad = np.einsum("...li,l->...i", gp, np.asarray(weights, float)) + gB
-    G = augmented_effectiveness(model, zeta)
-    return (np.einsum("...i,...im->...m", vgrad, G) @ config.R_u_inv.T
-            / (2.0 * config.u_bar))
+class CriticEvaluator:
+    """The policy and Bellman-error chain of one closed loop.
+
+    One implementation serves the policy at the estimate, the Bellman error
+    there, and the extrapolation terms at the fixed points.  The point terms
+    that do not depend on the weights (grad phi, barrier value and gradient,
+    F, G, x'Qx) are computed at the first extrapolation and kept.  With
+    point_envelope "zero" they never change.  With "live", only the parts
+    that depend on the envelope component are refreshed when it moves: grad
+    phi, the robust barrier, and the last component of F, which is affine in
+    the envelope.  alpha, the envelope decay rate, enters F only; a policy-only
+    evaluator may leave it None.
+    """
+
+    def __init__(self, model: SystemModel, basis: Basis,
+                 spec: SafetySpec | None, mode: BarrierMode,
+                 config: LearningConfig, alpha: float | None = None):
+        self.model, self.basis, self.spec, self.mode = model, basis, spec, mode
+        self.config, self.alpha = config, alpha
+        self._env = None            # envelope component of the cached points
+        self._points = None         # (gp, Bval, gB, G, F, qcost)
+
+    def _chain(self, gp, Bval, gB, G, weights, F=None, qcost=None):
+        """Policy at the given terms; with F also the flow and Bellman error.
+
+        grad(V_hat) (F + G u_hat) + x'Qx + saturation penalty + barrier cost,
+        with u_hat = -u_bar tanh((R^-1 G' / 2u_bar)(grad_phi' W + grad_B')).
+        """
+        cfg = self.config
+        vgrad = np.einsum("...li,l->...i", gp, np.asarray(weights, float)) + gB
+        pre = (np.einsum("...i,...im->...m", vgrad, G) @ cfg.R_u_inv.T
+               / (2.0 * cfg.u_bar))
+        tanh_pre = np.tanh(pre)
+        u = -cfg.u_bar * tanh_pre
+        if F is None:
+            return u, None, None
+        flow = F + np.einsum("...im,...m->...i", G, u)
+        delta = (np.einsum("...i,...i->...", vgrad, flow) + qcost
+                 + _saturation_penalty_preact(cfg, pre, tanh_pre) + Bval)
+        return u, flow, delta
+
+    def at(self, zeta, weights, with_delta: bool = False,
+           floor: float | None = None):
+        """(u, delta) at augmented state(s) zeta; delta is None unless asked.
+
+        Without `floor`, a nonpositive barrier margin raises
+        BarrierDomainError; with it, margins are clamped.
+        """
+        zeta = np.asarray(zeta, float)
+        gp = np.asarray(self.basis.grad_phi(zeta), float)
+        Bval, gB = _barrier_terms(self.spec, self.mode, zeta, floor=floor)
+        G = augmented_effectiveness(self.model, zeta)
+        F = qcost = None
+        if with_delta:
+            F = augmented_drift(self.model, zeta, self.alpha)
+            x = zeta[..., :-1]
+            qcost = np.einsum("...i,ij,...j->...", x, self.config.Q, x)
+        u, _, delta = self._chain(gp, Bval, gB, G, weights, F, qcost)
+        return u, delta
+
+    def _point_terms(self, envelope_now: float):
+        cfg = self.config
+        env = envelope_now if cfg.point_envelope == "live" else 0.0
+        if self._points is not None and env == self._env:
+            return self._points
+        pts = cfg.points
+        zk = np.concatenate([pts, np.full((len(pts), 1), env)], axis=1)
+        gp = np.asarray(self.basis.grad_phi(zk), float)
+        if self._points is None:
+            Bval, gB = _barrier_terms(self.spec, self.mode, zk,
+                                      floor=cfg.margin_floor)
+            G = augmented_effectiveness(self.model, zk)
+            F = augmented_drift(self.model, zk, self.alpha)
+            qcost = np.einsum("ni,ij,nj->n", pts, cfg.Q, pts)
+        else:
+            _, Bval, gB, G, F, qcost = self._points
+            if self.mode.use_envelope:
+                Bval, gB = _barrier_terms(self.spec, self.mode, zk,
+                                          floor=cfg.margin_floor)
+            F[:, -1] = -self.alpha * env
+        self._env, self._points = env, (gp, Bval, gB, G, F, qcost)
+        return self._points
+
+    def extrapolate(self, envelope_now: float, weights):
+        """Regressors, normalizers and Bellman errors at the extrapolation points.
+
+        Returns (omega, rho, delta): omega is (N, L), rho (N,) with rho >= 1,
+        delta (N,).  The envelope component of each point is the live value
+        or a fixed zero per the config; margins below the floor are clamped
+        with zero barrier gradient, so the terms stay finite on points outside
+        the current robustified set.
+        """
+        gp, Bval, gB, G, F, qcost = self._point_terms(envelope_now)
+        _, flow, delta = self._chain(gp, Bval, gB, G, weights, F, qcost)
+        omega = np.einsum("nli,ni->nl", gp, flow)
+        rho = 1.0 + self.config.gamma_c * np.einsum("nl,nl->n", omega, omega)
+        return omega, rho, delta
 
 
 def saturated_policy(model: SystemModel, basis: Basis, spec: SafetySpec | None,
                      mode: BarrierMode, config: LearningConfig, zeta,
                      weights) -> np.ndarray:
     """Feedback -u_bar * tanh(preactivation); strictly inside the box."""
-    pre = _policy_preactivation(model, basis, spec, mode, config, zeta, weights)
-    return -config.u_bar * np.tanh(pre)
+    return CriticEvaluator(model, basis, spec, mode, config).at(zeta, weights)[0]
 
 
 def bellman_error(model: SystemModel, basis: Basis, spec: SafetySpec | None,
                   mode: BarrierMode, config: LearningConfig, zeta, weights,
                   alpha: float, floor: float | None = None) -> float:
-    """Residual of the approximate optimality equation at one augmented state.
-
-    grad(V_hat) (F + G u_hat) + x'Qx + saturation penalty + barrier cost,
-    with u_hat the saturated policy for the current weights.
-    """
-    zeta = np.asarray(zeta, float)
-    weights = np.asarray(weights, float)
-    gp = np.asarray(basis.grad_phi(zeta), float)
-    Bval, gB = _barrier_terms(spec, mode, zeta, floor=floor)
-    vgrad = np.einsum("...li,l->...i", gp, weights) + gB
-    G = augmented_effectiveness(model, zeta)
-    pre = (np.einsum("...i,...im->...m", vgrad, G) @ config.R_u_inv.T
-           / (2.0 * config.u_bar))
-    u = -config.u_bar * np.tanh(pre)
-    F = augmented_drift(model, zeta, alpha)
-    flow = F + np.einsum("...im,...m->...i", G, u)
-    x = zeta[..., :-1]
-    qcost = np.einsum("...i,ij,...j->...", x, config.Q, x)
-    out = (np.einsum("...i,...i->...", vgrad, flow) + qcost
-           + _saturation_penalty_preact(config, pre) + Bval)
+    """Residual of the approximate optimality equation at augmented state(s)."""
+    _, out = CriticEvaluator(model, basis, spec, mode, config, alpha).at(
+        zeta, weights, with_delta=True, floor=floor)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -243,33 +314,10 @@ def extrapolation_terms(model: SystemModel, basis: Basis,
                         spec: SafetySpec | None, mode: BarrierMode,
                         config: LearningConfig, envelope_now: float, weights,
                         alpha: float):
-    """Regressors, normalizers and Bellman errors at the extrapolation points.
-
-    Returns (omega, rho, delta): omega is (N, L), rho (N,) with rho >= 1,
-    delta (N,).  The envelope component of each point is the live value or a
-    fixed zero per the config; margins below the floor are clamped with zero
-    barrier gradient, so the terms stay finite on points outside the current
-    robustified set.
-    """
-    pts = config.points
-    env = envelope_now if config.point_envelope == "live" else 0.0
-    zk = np.concatenate([pts, np.full((len(pts), 1), env)], axis=1)
-
-    gp = np.asarray(basis.grad_phi(zk), float)
-    Bval, gB = _barrier_terms(spec, mode, zk, floor=config.margin_floor)
-    vgrad = np.einsum("nli,l->ni", gp, np.asarray(weights, float)) + gB
-    G = augmented_effectiveness(model, zk)
-    pre = np.einsum("ni,nim->nm", vgrad, G) @ config.R_u_inv.T / (2.0 * config.u_bar)
-    u = -config.u_bar * np.tanh(pre)
-    F = augmented_drift(model, zk, alpha)
-    flow = F + np.einsum("nim,nm->ni", G, u)
-
-    omega = np.einsum("nli,ni->nl", gp, flow)
-    rho = 1.0 + config.gamma_c * np.einsum("nl,nl->n", omega, omega)
-    qcost = np.einsum("ni,ij,nj->n", pts, config.Q, pts)
-    delta = (np.einsum("ni,ni->n", vgrad, flow) + qcost
-             + _saturation_penalty_preact(config, pre) + Bval)
-    return omega, rho, delta
+    """(omega, rho, delta) at the extrapolation points; see
+    CriticEvaluator.extrapolate."""
+    return CriticEvaluator(model, basis, spec, mode, config,
+                           alpha).extrapolate(envelope_now, weights)
 
 
 def critic_derivatives(omega, rho, delta, weights, gain,

@@ -58,9 +58,8 @@ class DomainSet:
         """Nearest point in the set (per-coordinate clamp / radial scaling)."""
         x = np.asarray(x, float)
         if self.kind == "box":
-            lo = self.center - self.halfwidths
-            hi = self.center + self.halfwidths
-            return np.clip(x, lo, hi)
+            return x.clip(self.center - self.halfwidths,
+                          self.center + self.halfwidths)
         d = x - self.center
         r = np.linalg.norm(d, axis=-1, keepdims=True)
         scale = np.where(r > self.radius, self.radius / np.maximum(r, 1e-300), 1.0)
@@ -132,20 +131,25 @@ class SystemModel:
             raise ValueError("domain dimension does not match state dimension")
 
 
+def _checked(out: np.ndarray, x, what: str) -> np.ndarray:
+    """out, or ModelEvaluationError naming the first point where it is not finite."""
+    if not np.isfinite(out).all():
+        x = np.asarray(x, float)
+        first = np.argwhere(~np.isfinite(out))[0]
+        at = x[tuple(first[:x.ndim - 1])]
+        raise ModelEvaluationError(f"{what} produced non-finite values at x={at}")
+    return out
+
+
 def drift(model: SystemModel, x) -> np.ndarray:
     """Evaluate the drift f(x)."""
-    out = np.asarray(model.f(np.asarray(x, float)), float)
-    if not np.all(np.isfinite(out)):
-        raise ModelEvaluationError(f"drift produced non-finite values at x={x}")
-    return out
+    return _checked(np.asarray(model.f(np.asarray(x, float)), float), x, "drift")
 
 
 def effectiveness(model: SystemModel, x) -> np.ndarray:
     """Evaluate the control-effectiveness matrix g(x), shape (..., n, m)."""
-    out = np.asarray(model.g(np.asarray(x, float)), float)
-    if not np.all(np.isfinite(out)):
-        raise ModelEvaluationError(f"effectiveness produced non-finite values at x={x}")
-    return out
+    return _checked(np.asarray(model.g(np.asarray(x, float)), float), x,
+                    "effectiveness")
 
 
 def check_saturation(model: SystemModel, u) -> np.ndarray:
@@ -158,16 +162,18 @@ def check_saturation(model: SystemModel, u) -> np.ndarray:
 def augmented_drift(model: SystemModel, zeta, alpha: float) -> np.ndarray:
     """Drift of the (x, envelope) augmentation: last component decays at rate alpha."""
     zeta = np.asarray(zeta, float)
-    fx = drift(model, zeta[..., :-1])
-    return np.concatenate([fx, -alpha * zeta[..., -1:]], axis=-1)
+    out = np.empty(zeta.shape)
+    out[..., :-1] = drift(model, zeta[..., :-1])
+    out[..., -1] = -alpha * zeta[..., -1]
+    return out
 
 
 def augmented_effectiveness(model: SystemModel, zeta) -> np.ndarray:
     """Effectiveness of the augmentation: zero row for the envelope component."""
     zeta = np.asarray(zeta, float)
-    gx = effectiveness(model, zeta[..., :-1])
-    zrow = np.zeros(zeta.shape[:-1] + (1, model.m))
-    return np.concatenate([gx, zrow], axis=-2)
+    out = np.zeros(zeta.shape + (model.m,))
+    out[..., :-1, :] = effectiveness(model, zeta[..., :-1])
+    return out
 
 
 def augmented_dynamics(model: SystemModel, zeta, u, alpha: float) -> np.ndarray:
@@ -258,13 +264,16 @@ def vamvoudakis2d(u_bar: float = 10.0, box_halfwidth: float = 3.0) -> SystemMode
         x = np.asarray(x, float)
         x1, x2 = x[..., 0], x[..., 1]
         c = np.cos(2.0 * x1) + 2.0
-        return np.stack([-x1 + x2, -0.5 * x1 - 0.5 * x2 * (1.0 - c * c)], axis=-1)
+        out = np.empty(x.shape[:-1] + (2,))
+        out[..., 0] = -x1 + x2
+        out[..., 1] = -0.5 * x1 - 0.5 * x2 * (1.0 - c * c)
+        return out
 
     def g(x):
         x = np.asarray(x, float)
-        x1 = x[..., 0]
-        zero = np.zeros_like(x1)
-        return np.stack([zero, np.cos(2.0 * x1) + 2.0], axis=-1)[..., None]
+        out = np.zeros(x.shape[:-1] + (2, 1))
+        out[..., 1, 0] = np.cos(2.0 * x[..., 0]) + 2.0
+        return out
 
     pad = 1e-9
     m = 2.0 * box_halfwidth * _sin_amp_peak()

@@ -93,6 +93,6 @@ def observer_rhs(model: SystemModel, gains: ObserverGains, x_hat, y, u) -> np.nd
     a1 = pr + gains.l1 @ innov
     a2 = pr + gains.l2 @ innov
     out = drift(model, a1) + effectiveness(model, a2) @ u + gains.l3 @ innov
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ObserverEvaluationError("observer right-hand side is non-finite")
     return out

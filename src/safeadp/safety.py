@@ -10,6 +10,7 @@ the origin stays the minimizer.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Callable
@@ -49,7 +50,10 @@ def parabola_interior(kappa: float, ell: float) -> SafetySpec:
 
     def grad_h(x):
         x = np.asarray(x, float)
-        return np.stack([-np.ones_like(x[..., 0]), -2.0 * x[..., 1]], axis=-1)
+        out = np.empty(x.shape[:-1] + (2,))
+        out[..., 0] = -1.0
+        out[..., 1] = -2.0 * x[..., 1]
+        return out
 
     return SafetySpec(h=h, grad_h=grad_h, ell=ell, kappa=kappa,
                       name="parabola_interior")
@@ -63,7 +67,7 @@ def circular_obstacle(center, radius: float, kappa: float, ell: float) -> Safety
 
     def h(x):
         d = np.asarray(x, float) - center
-        return np.sum(d * d, axis=-1) - radius ** 2
+        return (d * d).sum(axis=-1) - radius ** 2
 
     def grad_h(x):
         return 2.0 * (np.asarray(x, float) - center)
@@ -88,19 +92,13 @@ def _recenter_log(spec: SafetySpec, margin):
     return np.log1p(1.0 / (spec.kappa * np.asarray(margin, float)))
 
 
-def _origin_margin(spec: SafetySpec, state_dim: int) -> float:
+@functools.lru_cache(maxsize=64)
+def _origin_term(spec: SafetySpec, state_dim: int):
+    """Log barrier at the origin with zero envelope: the recentering constant."""
     h0 = float(spec.h(np.zeros(state_dim)))
     if h0 <= 0:
         raise BarrierDomainError("origin lies outside the safe set")
-    return h0
-
-
-def _margin_of(spec: SafetySpec, zeta, use_envelope: bool):
-    zeta = np.asarray(zeta, float)
-    hx = np.asarray(spec.h(zeta[..., :-1]), float)
-    if use_envelope:
-        return hx - spec.ell * zeta[..., -1]
-    return hx
+    return _recenter_log(spec, h0)
 
 
 def barrier_cost(spec: SafetySpec, zeta, use_envelope: bool = True,
@@ -112,18 +110,8 @@ def barrier_cost(spec: SafetySpec, zeta, use_envelope: bool = True,
     below it are clamped (extrapolation-grid use); without it, a nonpositive
     margin raises BarrierDomainError.
     """
-    zeta = np.asarray(zeta, float)
-    margin = _margin_of(spec, zeta, use_envelope)
-    if floor is None:
-        if np.any(margin <= 0):
-            raise BarrierDomainError(
-                f"robustified margin nonpositive (min {np.min(margin):.6g})")
-    else:
-        margin = np.maximum(margin, floor)
-    b0 = _recenter_log(spec, _origin_margin(spec, zeta.shape[-1] - 1))
-    b = _recenter_log(spec, margin)
-    out = (b - b0) ** 2
-    return float(out) if out.ndim == 0 else out
+    val, _ = barrier_value_and_gradient(spec, zeta, use_envelope, floor)
+    return float(val) if val.ndim == 0 else val
 
 
 def barrier_value_and_gradient(spec: SafetySpec, zeta, use_envelope: bool = True,
@@ -134,26 +122,27 @@ def barrier_value_and_gradient(spec: SafetySpec, zeta, use_envelope: bool = True
     constant), which keeps extrapolation updates finite.
     """
     zeta = np.asarray(zeta, float)
-    margin = _margin_of(spec, zeta, use_envelope)
+    x = zeta[..., :-1]
+    margin = np.asarray(spec.h(x), float)
+    if use_envelope:
+        margin = margin - spec.ell * zeta[..., -1]
     clamped = None
     if floor is None:
-        if np.any(margin <= 0):
+        if (margin <= 0).any():
             raise BarrierDomainError(
                 f"robustified margin nonpositive (min {np.min(margin):.6g})")
     else:
         clamped = margin < floor
         margin = np.maximum(margin, floor)
-    b0 = _recenter_log(spec, _origin_margin(spec, zeta.shape[-1] - 1))
-    b = _recenter_log(spec, margin)
-    recentered = b - b0
+    recentered = _recenter_log(spec, margin) - _origin_term(spec, x.shape[-1])
     val = recentered ** 2
     dbd_margin = -1.0 / (margin * (spec.kappa * margin + 1.0))
-    gh = np.asarray(spec.grad_h(zeta[..., :-1]), float)
-    denv = np.full(np.shape(margin), -spec.ell if use_envelope else 0.0)
-    grad_margin = np.concatenate([gh, np.asarray(denv)[..., None]], axis=-1)
-    grad = (2.0 * recentered * dbd_margin)[..., None] * grad_margin
+    coef = 2.0 * recentered * dbd_margin
+    grad = np.empty(zeta.shape)
+    grad[..., :-1] = coef[..., None] * np.asarray(spec.grad_h(x), float)
+    grad[..., -1] = coef * (-spec.ell if use_envelope else 0.0)
     if clamped is not None:
-        grad = np.where(np.asarray(clamped)[..., None], 0.0, grad)
+        grad[clamped] = 0.0
     return val, grad
 
 

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .critic import (Basis, BarrierMode, LearningConfig, bellman_error,
-                     critic_derivatives, excitation_level,
-                     extrapolation_terms, saturated_policy)
-from .model import SystemModel, drift, effectiveness
-from .observer import ObserverGains, error_envelope, observer_rhs
+from .critic import (Basis, BarrierMode, CriticEvaluator, LearningConfig,
+                     critic_derivatives, excitation_level)
+from .model import ModelEvaluationError, SystemModel, drift, effectiveness
+from .observer import (ObserverEvaluationError, ObserverGains, error_envelope,
+                       observer_rhs)
 from .safety import BarrierDomainError, SafetySpec, monitor_safety
 
 CONTROLLER_MODES = ("rlcbf", "lcbf", "none")
@@ -181,50 +181,66 @@ def _floor_gain(G: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
 
 
 def _make_rhs(problem: ControlProblem):
-    """Coupled right-hand side; also returns the stage control and regressors."""
-    model, gains, basis, learn = (problem.model, problem.gains, problem.basis,
-                                  problem.learn)
-    spec, cfg = problem.spec, problem.sim
-    mode = problem.barrier_mode()
-    alpha = gains.alpha
+    """Coupled right-hand side.
 
-    def rhs(tau, x, xh, W, G):
+    rhs(tau, x, x_hat, W, G, with_delta) returns the four derivatives and
+    (u, delta, omega, rho, envelope): the stage control, the Bellman error at
+    the estimate (None unless asked), the extrapolation regressors and
+    normalizers, and the envelope at tau.
+    """
+    model, gains, learn = problem.model, problem.gains, problem.learn
+    cfg = problem.sim
+    critic = CriticEvaluator(model, problem.basis, problem.spec,
+                             problem.barrier_mode(), learn, gains.alpha)
+
+    def rhs(tau, x, xh, W, G, with_delta=False):
         env = error_envelope(gains, tau)
         est = xh if cfg.observer_enabled else x
-        zeta_hat = np.concatenate([est, [env]])
-        u = saturated_policy(model, basis, spec, mode, learn, zeta_hat, W)
+        u, delta = critic.at(np.concatenate([est, [env]]), W, with_delta)
         x_dot = drift(model, x) + effectiveness(model, x) @ u
         if cfg.observer_enabled:
             y = model.C @ x
             xh_dot = observer_rhs(model, gains, xh, y, u)
         else:
             xh_dot = x_dot
-        omega, rho, delta = extrapolation_terms(model, basis, spec, mode,
-                                                learn, env, W, alpha)
-        w_dot, g_dot = critic_derivatives(omega, rho, delta, W, G, learn)
-        return (x_dot, xh_dot, w_dot, g_dot), (u, omega, rho)
+        omega, rho, delta_pts = critic.extrapolate(env, W)
+        w_dot, g_dot = critic_derivatives(omega, rho, delta_pts, W, G, learn)
+        return (x_dot, xh_dot, w_dot, g_dot), (u, delta, omega, rho, env)
 
     return rhs
+
+
+# Non-finite plant or observer values; a run turns them into an abort reason.
+_EVALUATION_ERRORS = (ModelEvaluationError, ObserverEvaluationError)
+
+
+def _stage(rhs, stage: int, *args):
+    """rhs(*args), with an evaluation error's message naming the RK4 stage."""
+    try:
+        return rhs(*args)
+    except _EVALUATION_ERRORS as exc:
+        raise type(exc)(f"RK4 stage {stage}: {type(exc).__name__}: "
+                        f"{exc}") from exc
 
 
 def _rk4_step(rhs, dt: float, gain_floor: float, t: float, x, x_hat, weights,
               gain, k1=None):
     if k1 is None:
-        k1, _ = rhs(t, x, x_hat, weights, gain)
+        k1, _ = _stage(rhs, 1, t, x, x_hat, weights, gain)
     h = dt / 2.0
-    k2, _ = rhs(t + h, x + h * k1[0], x_hat + h * k1[1],
-                weights + h * k1[2], gain + h * k1[3])
-    k3, _ = rhs(t + h, x + h * k2[0], x_hat + h * k2[1],
-                weights + h * k2[2], gain + h * k2[3])
-    k4, _ = rhs(t + dt, x + dt * k3[0], x_hat + dt * k3[1],
-                weights + dt * k3[2], gain + dt * k3[3])
+    k2, _ = _stage(rhs, 2, t + h, x + h * k1[0], x_hat + h * k1[1],
+                   weights + h * k1[2], gain + h * k1[3])
+    k3, _ = _stage(rhs, 3, t + h, x + h * k2[0], x_hat + h * k2[1],
+                   weights + h * k2[2], gain + h * k2[3])
+    k4, _ = _stage(rhs, 4, t + dt, x + dt * k3[0], x_hat + dt * k3[1],
+                   weights + dt * k3[2], gain + dt * k3[3])
     x_new = x + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
     xh_new = x_hat + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
     w_new = weights + dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
     g_new = gain + dt / 6.0 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
     g_new, asym = _floor_gain(g_new, gain_floor)
-    if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(xh_new))
-            and np.all(np.isfinite(w_new)) and np.all(np.isfinite(g_new))):
+    if not (np.isfinite(x_new).all() and np.isfinite(xh_new).all()
+            and np.isfinite(w_new).all() and np.isfinite(g_new).all()):
         raise FloatingPointError(f"integration diverged at t={t:.6g}")
     return x_new, xh_new, w_new, g_new, asym
 
@@ -247,11 +263,8 @@ def run(problem: ControlProblem) -> tuple[TrajectoryLog, RunSummary]:
     the run stops at the offending step.  A barrier-domain violation along
     the estimate trajectory always stops the run with a report.
     """
-    model, gains, basis, learn = (problem.model, problem.gains, problem.basis,
-                                  problem.learn)
+    model, gains, basis = problem.model, problem.gains, problem.basis
     spec, cfg = problem.spec, problem.sim
-    mode = problem.barrier_mode()
-    alpha = gains.alpha
 
     err0 = float(np.linalg.norm(cfg.x0 - cfg.x_hat0))
     events: list[dict] = []
@@ -292,16 +305,16 @@ def run(problem: ControlProblem) -> tuple[TrajectoryLog, RunSummary]:
     k = 0
     while True:
         t = k * cfg.dt
-        env = error_envelope(gains, t)
-        est = xh if cfg.observer_enabled else x
-        zeta_hat = np.concatenate([est, [env]])
         try:
-            k1, (u, omega, rho) = rhs(t, x, xh, W, G)
-            delta = bellman_error(model, basis, spec, mode, learn, zeta_hat, W,
-                                  alpha)
+            k1, (u, delta, omega, rho, env) = _stage(rhs, 1, t, x, xh, W, G,
+                                                     True)
         except BarrierDomainError as exc:
             abort_reason = f"barrier_domain: {exc}"
             break
+        except _EVALUATION_ERRORS as exc:
+            abort_reason = f"evaluation_error at step {k}, t={t:.6g}, {exc}"
+            break
+        est = xh if cfg.observer_enabled else x
         excite = excitation_level(omega, rho)
         gev = np.linalg.eigvalsh(G)
         err = float(np.linalg.norm(x - xh))
@@ -333,6 +346,9 @@ def run(problem: ControlProblem) -> tuple[TrajectoryLog, RunSummary]:
                                                t, x, xh, W, G, k1=k1)
         except (BarrierDomainError, FloatingPointError) as exc:
             abort_reason = f"integration_abort: {exc}"
+            break
+        except _EVALUATION_ERRORS as exc:
+            abort_reason = f"evaluation_error at step {k}, t={t:.6g}, {exc}"
             break
         k += 1
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from safeadp.cli import main
 from safeadp.config import ConfigError, RunConfig, grid_points, load_config
+from safeadp.model import MODEL_REGISTRY, vamvoudakis2d
 from safeadp.presets import PRESET_NAMES, preset
 
 
@@ -228,3 +230,34 @@ def test_cli_run_initial_error_beyond_slack(tmp_path, capsys):
     assert code == 1
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert payload["error"] == "run_error"
+
+
+def test_cli_run_nonfinite_plant_is_machine_readable(tmp_path, capsys,
+                                                     monkeypatch):
+    # a registered plant whose drift turns NaN where x1 > 1.1, which the
+    # oracle run from x0 = (0.9, 2.5) crosses near t = 0.2
+    def nan_beyond(u_bar, box_halfwidth):
+        base = vamvoudakis2d(u_bar=u_bar, box_halfwidth=box_halfwidth)
+
+        def f(x):
+            x = np.asarray(x, float)
+            return np.where(x[..., :1] > 1.1, np.nan, base.f(x))
+
+        return dataclasses.replace(base, f=f, name="nan_beyond")
+
+    monkeypatch.setitem(MODEL_REGISTRY, "nan_beyond", nan_beyond)
+    raw = preset("lq_oracle").to_dict()
+    raw["model"]["name"] = "nan_beyond"
+    raw["sim"].update(x0=[0.9, 2.5], x_hat0=[0.9, 2.5], T=0.5)
+    cfg_file = tmp_path / "nan.json"
+    cfg_file.write_text(json.dumps(raw))
+    out = tmp_path / "nan"
+    code = main(["run", "--config", str(cfg_file), "--out", str(out)])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["error"] == "run_aborted"
+    assert payload["reason"].startswith("evaluation_error at step ")
+    assert "RK4 stage" in payload["reason"]
+    assert "ModelEvaluationError" in payload["reason"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["abort_reason"] == payload["reason"]

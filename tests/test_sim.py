@@ -1,9 +1,13 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 import safeadp as sa
+from safeadp import sim
 from safeadp.critic import LearningConfig, quadratic_basis_2d
-from safeadp.observer import ObserverGains
+from safeadp.observer import ObserverGains, observer_rhs
 from safeadp.safety import parabola_interior
 from safeadp.sim import (ControlProblem, SimConfig, _floor_gain, run, step)
 
@@ -158,3 +162,69 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(dt=1e-2, T=1.0, x0=np.zeros(2), x_hat0=np.zeros(2),
                   Wc0=np.zeros(6), Gamma0=np.eye(6), controller_mode="qp")
+
+
+# ---------------------------------------------------------------- evaluation errors
+
+def _nan_beyond(x1_max, u_bar=100.0, box_halfwidth=3.0):
+    """The benchmark plant with a drift that turns NaN where x1 > x1_max."""
+    base = sa.vamvoudakis2d(u_bar=u_bar, box_halfwidth=box_halfwidth)
+
+    def f(x):
+        x = np.asarray(x, float)
+        return np.where(x[..., :1] > x1_max, np.nan, base.f(x))
+
+    return dataclasses.replace(base, f=f, name="nan_beyond")
+
+
+def _oracle_problem(model, x0=(0.9, 2.5), T=0.5):
+    cfg = sa.preset("lq_oracle").replace_sim(T=T, x0=x0, x_hat0=x0)
+    problem, _ = sa.build_problem(cfg)
+    return dataclasses.replace(problem, model=model)
+
+
+ABORT = re.compile(r"evaluation_error at step (\d+), t=(\S+), RK4 stage "
+                   r"([1-4]): (\w+): ")
+
+
+def test_nonfinite_plant_mid_run_aborts_with_step_time_and_stage():
+    # the state crosses x1 = 1.1 near t = 0.3; the points stop at x1 = 1
+    log, summary = run(_oracle_problem(_nan_beyond(1.1)))
+    assert not summary.ok
+    m = ABORT.match(summary.abort_reason)
+    assert m, summary.abort_reason
+    k, t, stage, kind = int(m[1]), float(m[2]), int(m[3]), m[4]
+    assert kind == "ModelEvaluationError"
+    assert 100 < k < 500 and t == pytest.approx(k * 1e-3)
+    assert summary.steps == k
+    # a stage-1 failure stops before logging step k, a later stage after it
+    assert log.size == (k if stage == 1 else k + 1)
+    assert np.all(log.x[:, 0] <= 1.1)
+
+
+def test_nonfinite_plant_at_the_points_aborts_at_the_first_stage():
+    # x0 is fine, but the drift is NaN at extrapolation points with x1 > 0.5
+    log, summary = run(_oracle_problem(_nan_beyond(0.5), x0=(0.0, 0.0)))
+    assert summary.abort_reason.startswith(
+        "evaluation_error at step 0, t=0, RK4 stage 1: ModelEvaluationError")
+    # the reason names the first offending point, not the whole point set
+    assert summary.abort_reason.count("[") == 1
+    assert log.size == 0 and summary.steps == 0
+
+
+def test_nonfinite_observer_aborts_with_its_stage(monkeypatch):
+    calls = []
+
+    def failing_observer(*args):
+        calls.append(args)
+        if len(calls) == 6:             # step 1, stage 2
+            raise sim.ObserverEvaluationError("observer right-hand side "
+                                              "is non-finite")
+        return observer_rhs(*args)
+
+    monkeypatch.setattr(sim, "observer_rhs", failing_observer)
+    log, summary = run(_problem(T=0.1))
+    assert summary.abort_reason.startswith(
+        "evaluation_error at step 1, t=0.01, RK4 stage 2: "
+        "ObserverEvaluationError")
+    assert log.size == 2 and summary.steps == 1
