@@ -2,22 +2,21 @@
 barrier cost, saturated critic-only adaptive controller, and the simulation
 harness that ties them together."""
 
-from .critic import (Basis, BarrierMode, CriticState, LearningConfig,
+from .critic import (Basis, BarrierMode, LearningConfig,
                      bellman_error, critic_derivatives, excitation_level,
                      extrapolation_terms, quadratic_basis_2d,
                      saturated_policy, saturation_penalty, value_estimate)
 from .config import RunConfig, build_problem, load_config
 from .lmi import (LmiCertificate, LmiProblem, SearchParams,
                   assemble_lmi_matrix, synthesize_gains, verify_gains)
-from .model import (AugmentedState, DomainSet, SystemModel,
-                    audit_jacobian_bounds, augmented_dynamics, drift,
-                    effectiveness, vamvoudakis2d)
-from .observer import ObserverGains, error_envelope, observer_rhs, project
+from .model import (DomainSet, SystemModel, audit_jacobian_bounds,
+                    augmented_dynamics, drift, effectiveness, vamvoudakis2d)
+from .observer import ObserverGains, error_envelope, observer_rhs
 from .presets import PRESET_NAMES, preset
 from .safety import (BarrierDomainError, SafetySpec, barrier_cost,
                      barrier_cost_gradient, circular_obstacle, h_eval,
                      lipschitz_audit, monitor_safety, parabola_interior,
                      robust_margin)
-from .sim import ControlProblem, SimConfig, TrajectoryLog, run, step
+from .sim import ControlProblem, SimConfig, TrajectoryLog, run
 
 __version__ = "0.1.0"

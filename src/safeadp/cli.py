@@ -51,59 +51,58 @@ def _load_run_config(args) -> RunConfig:
     return cfg
 
 
+# plotdata file -> the log fields it holds, in column order
+_PLOTDATA = {"state_space.csv": ("x", "x_hat"),
+             "weights.csv": ("t", "weights"), "control.csv": ("t", "u")}
+
+
 def _write_plotdata(out: Path, log):
     pd = out / "plotdata"
     pd.mkdir(exist_ok=True)
-    with open(pd / "state_space.csv", "w") as f:
-        f.write("x1,x2,xhat1,xhat2\n")
-        for i in range(log.size):
-            f.write(",".join(repr(float(v))
-                             for v in (*log.x[i], *log.x_hat[i])) + "\n")
-    with open(pd / "weights.csv", "w") as f:
-        f.write("t," + ",".join(f"w{i+1}" for i in range(log.L)) + "\n")
-        for i in range(log.size):
-            f.write(",".join(repr(float(v))
-                             for v in (log.t[i], *log.weights[i])) + "\n")
-    with open(pd / "control.csv", "w") as f:
-        f.write("t," + ",".join(f"u{i+1}" for i in range(log.m)) + "\n")
-        for i in range(log.size):
-            f.write(",".join(repr(float(v))
-                             for v in (log.t[i], *log.u[i])) + "\n")
+    for name, attrs in _PLOTDATA.items():
+        log.to_csv(pd / name, attrs)
+
+
+def _certificates(problem) -> dict:
+    """Verification certificate of the problem's observer gains per mode."""
+    g = problem.gains
+    problem_lmi = lmi.LmiProblem.from_model(problem.model, g.alpha)
+    return {mode: lmi.verify_gains(problem_lmi, g.P, g.R_lmi, g.l1, g.l2,
+                                   mode=mode)
+            for mode in lmi.VERIFY_MODES}
+
+
+def _write_json(path: Path, payload):
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def cmd_run(args) -> int:
     cfg = _load_run_config(args)
-    out = Path(args.out)
     problem, synth_cert = build_problem(cfg)
-    out.mkdir(parents=True, exist_ok=True)
-
-    cert_file = None
+    certs = None
     if cfg.observer.enabled:
-        problem_lmi = lmi.LmiProblem.from_model(problem.model,
-                                                problem.gains.alpha)
-        g = problem.gains
-        certs = {mode: lmi.verify_gains(problem_lmi, g.P, g.R_lmi, g.l1, g.l2,
-                                        mode=mode).to_json_dict()
-                 for mode in ("theta_identity", "all_vertices")}
+        certs = {mode: cert.to_json_dict()
+                 for mode, cert in _certificates(problem).items()}
         if synth_cert is not None:
             certs["synthesis"] = synth_cert.to_json_dict()
-        cert_file = out / "certificate.json"
-        cert_file.write_text(json.dumps(certs, indent=2, sort_keys=True))
 
     try:
         log, summary = run(problem)
     except ValueError as exc:
         print(json.dumps({"error": "run_error", "reason": str(exc)}))
         return EXIT_RUN_FAILED
-    summary.certificate_file = cert_file.name if cert_file else None
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if certs is not None:
+        summary.certificate_file = "certificate.json"
+        _write_json(out / summary.certificate_file, certs)
     log.to_csv(out / "trajectory.csv")
     _write_plotdata(out, log)
 
     payload = summary.to_json_dict()
     report = safety_report(problem, log)
     payload["safety"] = report.to_json_dict() if report else None
-    (out / "summary.json").write_text(json.dumps(payload, indent=2,
-                                                 sort_keys=True))
+    _write_json(out / "summary.json", payload)
     if summary.ok:
         print(f"run complete: {log.size} records, min h = {summary.min_h:.6g}, "
               f"terminal |x| = {np.linalg.norm(summary.terminal_x):.6g}")
@@ -115,19 +114,15 @@ def cmd_run(args) -> int:
 def cmd_verify_lmi(args) -> int:
     cfg = _load_run_config(args)
     problem, _ = build_problem(cfg)
-    g = problem.gains
-    problem_lmi = lmi.LmiProblem.from_model(problem.model, g.alpha)
-    certs = {}
-    for mode in ("theta_identity", "all_vertices"):
-        cert = lmi.verify_gains(problem_lmi, g.P, g.R_lmi, g.l1, g.l2, mode=mode)
-        certs[mode] = cert.to_json_dict()
+    certs = _certificates(problem)
+    for mode, cert in certs.items():
         verdict = "feasible" if cert.feasible else "infeasible"
         print(f"{mode}: {verdict} (max eigenvalue {cert.max_eigenvalue:.6g}, "
               f"|l1C| = {cert.norm_l1C:.4g}, |l2C| = {cert.norm_l2C:.4g})")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "certificate.json").write_text(json.dumps(certs, indent=2,
-                                                     sort_keys=True))
+    _write_json(out / "certificate.json",
+                {mode: cert.to_json_dict() for mode, cert in certs.items()})
     return EXIT_OK
 
 
@@ -149,8 +144,7 @@ def cmd_synthesize(args) -> int:
                   "l2": l2.ravel().tolist(), "l3": l3.ravel().tolist()},
         "certificate": cert.to_json_dict(),
     }
-    (out / "synthesis.json").write_text(json.dumps(payload, indent=2,
-                                                   sort_keys=True))
+    _write_json(out / "synthesis.json", payload)
     return EXIT_OK if cert.feasible else EXIT_RUN_FAILED
 
 
@@ -179,8 +173,7 @@ def cmd_audit_bounds(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "bounds_audit.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True))
+        _write_json(out / "bounds_audit.json", report)
     return EXIT_OK if report["ok"] else EXIT_RUN_FAILED
 
 
@@ -216,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=2000)
     p.add_argument("--step", type=float, default=0.5)
     p.add_argument("--tol", type=float, default=lmi.FEASIBILITY_TOL)
-    p.add_argument("--mode", choices=("theta_identity", "all_vertices"),
+    p.add_argument("--mode", choices=lmi.VERIFY_MODES,
                    default="theta_identity")
     p.set_defaults(func=cmd_synthesize)
 

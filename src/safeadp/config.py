@@ -9,7 +9,8 @@ which case the gain search runs at build time and its certificate is attached.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import (asdict, dataclass, field, fields, is_dataclass,
+                         replace)
 from typing import Any
 
 import numpy as np
@@ -26,7 +27,11 @@ class ConfigError(ValueError):
     """Configuration file fails schema validation."""
 
 
-def _check_keys(section: dict, allowed: set[str], required: set[str], ctx: str):
+def _check_keys(section: dict, allowed, required: set[str], ctx: str):
+    """Reject unknown and missing keys; allowed is a set of names or a
+    dataclass, whose field names are then the allowed keys."""
+    if is_dataclass(allowed):
+        allowed = {f.name for f in fields(allowed)}
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"{ctx}: unknown keys {sorted(unknown)}")
@@ -43,7 +48,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        _check_keys(d, {"name", "u_bar", "box_halfwidth"}, {"name"}, "model")
+        _check_keys(d, cls, {"name"}, "model")
         if d["name"] not in MODEL_REGISTRY:
             raise ConfigError(f"model: unknown model {d['name']!r}; "
                               f"known: {sorted(MODEL_REGISTRY)}")
@@ -64,8 +69,7 @@ class ObserverConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ObserverConfig":
-        _check_keys(d, {"alpha", "eps0", "gains", "enabled", "synthesis"},
-                    {"alpha", "eps0", "gains"}, "observer")
+        _check_keys(d, cls, {"alpha", "eps0", "gains"}, "observer")
         gains = d["gains"]
         if isinstance(gains, dict):
             _check_keys(gains, {"P", "l1", "l2", "l3"},
@@ -115,8 +119,7 @@ class SafetyConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SafetyConfig":
-        _check_keys(d, {"kind", "kappa", "ell", "center", "radius"}, {"kind"},
-                    "safety")
+        _check_keys(d, cls, {"kind"}, "safety")
         if d["kind"] not in ("parabola_interior", "circular_obstacle", "none"):
             raise ConfigError(f"safety: unknown kind {d['kind']!r}")
         if "center" in d:
@@ -165,8 +168,7 @@ class PointsConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PointsConfig":
-        _check_keys(d, {"kind", "halfwidth", "per_axis", "repel_center",
-                        "repel_radius", "values"}, {"kind"}, "learning.points")
+        _check_keys(d, cls, {"kind"}, "learning.points")
         d = dict(d)
         if d.get("repel_center") is not None:
             d["repel_center"] = tuple(d["repel_center"])
@@ -196,9 +198,8 @@ class LearningSettings:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LearningSettings":
-        _check_keys(d, {"k_c", "gamma_c", "beta", "R_u", "Q", "points",
-                        "point_envelope", "margin_floor"},
-                    {"k_c", "gamma_c", "beta", "R_u", "Q", "points"}, "learning")
+        _check_keys(d, cls, {"k_c", "gamma_c", "beta", "R_u", "Q", "points"},
+                    "learning")
         d = dict(d)
         d["R_u"] = tuple(tuple(r) for r in d["R_u"])
         d["Q"] = tuple(tuple(r) for r in d["Q"])
@@ -231,11 +232,7 @@ class SimSettings:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimSettings":
-        _check_keys(d, {"dt", "T", "x0", "x_hat0", "Wc0", "Gamma0",
-                        "controller_mode", "monitor_action", "log_every",
-                        "ultimate_bound_x", "ultimate_bound_err",
-                        "excitation_warn"},
-                    {"dt", "T", "x0", "x_hat0", "Wc0"}, "sim")
+        _check_keys(d, cls, {"dt", "T", "x0", "x_hat0", "Wc0"}, "sim")
         d = dict(d)
         for key in ("x0", "x_hat0", "Wc0"):
             d[key] = tuple(d[key])
@@ -268,8 +265,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        _check_keys(d, {"model", "observer", "safety", "learning", "sim"},
-                    {"model", "observer", "safety", "learning", "sim"}, "config")
+        _check_keys(d, cls, {"model", "observer", "safety", "learning", "sim"},
+                    "config")
         return cls(model=ModelConfig.from_dict(d["model"]),
                    observer=ObserverConfig.from_dict(d["observer"]),
                    safety=SafetyConfig.from_dict(d["safety"]),
@@ -280,10 +277,7 @@ class RunConfig:
         return asdict(self)
 
     def replace_sim(self, **kw) -> "RunConfig":
-        from dataclasses import replace
-        return RunConfig(model=self.model, observer=self.observer,
-                         safety=self.safety, learning=self.learning,
-                         sim=replace(self.sim, **kw))
+        return replace(self, sim=replace(self.sim, **kw))
 
 
 def load_config(path) -> RunConfig:

@@ -8,7 +8,7 @@ forgetting-factor least-squares gain matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -86,7 +86,7 @@ class LearningConfig:
     points: np.ndarray         # (N, n) fixed extrapolation locations
     point_envelope: str = "live"   # "live": envelope component tracks t; "zero": fixed 0
     margin_floor: float = 1e-6     # clamp for extrapolation points only
-    R_u_inv: np.ndarray = None
+    R_u_inv: np.ndarray = field(init=False)   # derived from R_u
 
     def __post_init__(self):
         object.__setattr__(self, "R_u", np.atleast_2d(np.asarray(self.R_u, float)))
@@ -109,20 +109,6 @@ class LearningConfig:
     @property
     def N(self) -> int:
         return len(self.points)
-
-
-@dataclass
-class CriticState:
-    """Adaptive weights and least-squares gain matrix."""
-
-    weights: np.ndarray
-    gain: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, float)
-        self.gain = np.asarray(self.gain, float)
-        if self.gain.shape != (len(self.weights), len(self.weights)):
-            raise ValueError("gain matrix shape must match weight count")
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ import numpy as np
 from .model import SystemModel
 
 FEASIBILITY_TOL = 1e-9
+VERIFY_MODES = ("theta_identity", "all_vertices")
+MAX_VERTEX_DIM = 4          # all_vertices enumerates 2^(n^2) matrices
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,10 @@ class LmiProblem:
     def theta_vertices(self) -> list[np.ndarray]:
         """All 2^(n^2) zero-one matrices (vertices of the parameter cube)."""
         n = self.n
+        if n > MAX_VERTEX_DIM:
+            raise ValueError(
+                f"vertex enumeration needs 2^{n * n} matrices for n = {n}; "
+                f"it is limited to n <= {MAX_VERTEX_DIM}")
         verts = []
         for bits in itertools.product((0.0, 1.0), repeat=n * n):
             verts.append(np.array(bits, float).reshape(n, n))
@@ -130,31 +136,35 @@ def assemble_lmi_matrix(problem: LmiProblem, P, R_lmi, l1, l2, theta) -> np.ndar
     return 0.5 * (M + M.T)
 
 
-def verify_gains(problem: LmiProblem, P, R_lmi, l1, l2,
-                 mode: str = "theta_identity",
-                 tol: float = FEASIBILITY_TOL) -> LmiCertificate:
-    """Check negativity of the verification matrix and the injection-norm caps.
+def _top_eigenvalues(problem: LmiProblem, P, R_lmi, l1, l2, mode: str):
+    """(thetas, top eigenvalue per theta, |l1 C|, |l2 C|) for one mode.
 
     mode "theta_identity" checks the single matrix at theta = I; mode
     "all_vertices" checks every vertex of the parameter cube, which covers the
     whole cube by affinity and convexity.
     """
-    if mode not in ("theta_identity", "all_vertices"):
+    if mode not in VERIFY_MODES:
         raise ValueError(f"unknown verification mode {mode!r}")
     n = problem.n
     l1 = np.asarray(l1, float).reshape(n, problem.q)
     l2 = np.asarray(l2, float).reshape(n, problem.q)
     norm1 = float(np.linalg.norm(l1 @ problem.C, 2))
     norm2 = float(np.linalg.norm(l2 @ problem.C, 2))
+    thetas = ([np.eye(n)] if mode == "theta_identity"
+              else problem.theta_vertices())
+    eigs = [float(np.linalg.eigvalsh(
+        assemble_lmi_matrix(problem, P, R_lmi, l1, l2, th))[-1])
+        for th in thetas]
+    return thetas, eigs, norm1, norm2
 
-    if mode == "theta_identity":
-        thetas = [np.eye(n)]
-    else:
-        thetas = problem.theta_vertices()
-    eigs = []
-    for th in thetas:
-        M = assemble_lmi_matrix(problem, P, R_lmi, l1, l2, th)
-        eigs.append(float(np.linalg.eigvalsh(M)[-1]))
+
+def verify_gains(problem: LmiProblem, P, R_lmi, l1, l2,
+                 mode: str = "theta_identity",
+                 tol: float = FEASIBILITY_TOL) -> LmiCertificate:
+    """Check negativity of the verification matrix and the injection-norm caps
+    in one of the VERIFY_MODES."""
+    thetas, eigs, norm1, norm2 = _top_eigenvalues(problem, P, R_lmi, l1, l2,
+                                                  mode)
     worst = int(np.argmax(eigs))
     max_eig = eigs[worst]
     feasible = (max_eig < -tol) and norm1 <= 1.0 and norm2 <= 1.0
@@ -180,16 +190,9 @@ def _project_pd(P: np.ndarray, floor: float) -> np.ndarray:
 
 
 def _penalty(problem: LmiProblem, P, R, l1, l2, mode: str) -> float:
-    if mode == "theta_identity":
-        thetas = [np.eye(problem.n)]
-    else:
-        thetas = problem.theta_vertices()
-    worst = max(float(np.linalg.eigvalsh(
-        assemble_lmi_matrix(problem, P, R, l1, l2, th))[-1]) for th in thetas)
-    norm1 = np.linalg.norm(np.asarray(l1).reshape(problem.n, problem.q) @ problem.C, 2)
-    norm2 = np.linalg.norm(np.asarray(l2).reshape(problem.n, problem.q) @ problem.C, 2)
+    _, eigs, norm1, norm2 = _top_eigenvalues(problem, P, R, l1, l2, mode)
     hinge = 100.0 * (max(0.0, norm1 - 1.0) + max(0.0, norm2 - 1.0))
-    return worst + hinge
+    return max(eigs) + hinge
 
 
 def synthesize_gains(problem: LmiProblem, initial_guess: dict | None = None,

@@ -65,33 +65,6 @@ class DomainSet:
         scale = np.where(r > self.radius, self.radius / np.maximum(r, 1e-300), 1.0)
         return self.center + d * scale
 
-    def contains(self, x, tol: float = 0.0) -> bool:
-        x = np.asarray(x, float)
-        if self.kind == "box":
-            return bool(np.all(np.abs(x - self.center) <= self.halfwidths + tol))
-        return bool(np.linalg.norm(x - self.center) <= self.radius + tol)
-
-
-@dataclass(frozen=True)
-class AugmentedState:
-    """Plant state (or estimate) together with the robustifying-term value."""
-
-    x: np.ndarray
-    xi: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, float))
-        if self.xi < 0:
-            raise ValueError("robustifying term must be nonnegative")
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.x, [self.xi]])
-
-    @classmethod
-    def from_vector(cls, zeta) -> "AugmentedState":
-        zeta = np.asarray(zeta, float)
-        return cls(zeta[:-1], float(zeta[-1]))
-
 
 @dataclass(frozen=True)
 class SystemModel:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import DomainSet, SystemModel, drift, effectiveness
+from .model import SystemModel, drift, effectiveness
 
 
 class ObserverEvaluationError(RuntimeError):
@@ -70,11 +70,6 @@ class ObserverGains:
                 float(np.linalg.norm(self.l2 @ C, 2)))
 
 
-def project(domain: DomainSet, x_hat) -> np.ndarray:
-    """Nearest point of the domain to x_hat (identity inside)."""
-    return domain.project(x_hat)
-
-
 def error_envelope(gains: ObserverGains, t) -> np.ndarray | float:
     """Decaying bound on the estimation error norm; equals chi at t = 0."""
     t = np.asarray(t, float)
@@ -88,7 +83,7 @@ def observer_rhs(model: SystemModel, gains: ObserverGains, x_hat, y, u) -> np.nd
     x_hat = np.asarray(x_hat, float)
     y = np.atleast_1d(np.asarray(y, float))
     u = np.atleast_1d(np.asarray(u, float))
-    pr = project(model.domain, x_hat)
+    pr = model.domain.project(x_hat)
     innov = y - model.C @ pr
     a1 = pr + gains.l1 @ innov
     a2 = pr + gains.l2 @ innov

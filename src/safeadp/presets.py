@@ -91,28 +91,21 @@ def _lq_oracle() -> RunConfig:
                         Wc0=WC0, controller_mode="none"))
 
 
-def _mode_variant(base: RunConfig, mode: str) -> RunConfig:
-    return base.replace_sim(controller_mode=mode)
+_BUILDERS = {
+    "study1": _study1,
+    "study2": _study2,
+    "study1_nocbf": lambda: _study1().replace_sim(controller_mode="none"),
+    "study2_nocbf": lambda: _study2().replace_sim(controller_mode="none"),
+    "study1_lcbf": lambda: _study1().replace_sim(controller_mode="lcbf"),
+    "study2_lcbf": lambda: _study2().replace_sim(controller_mode="lcbf"),
+    "lq_oracle": _lq_oracle,
+}
 
-
-PRESET_NAMES = ("study1", "study2", "study1_nocbf", "study2_nocbf",
-                "study1_lcbf", "study2_lcbf", "lq_oracle")
+PRESET_NAMES = tuple(_BUILDERS)
 
 
 def preset(name: str) -> RunConfig:
     """Fully populated run configuration for a named experiment."""
-    if name == "study1":
-        return _study1()
-    if name == "study2":
-        return _study2()
-    if name == "study1_nocbf":
-        return _mode_variant(_study1(), "none")
-    if name == "study2_nocbf":
-        return _mode_variant(_study2(), "none")
-    if name == "study1_lcbf":
-        return _mode_variant(_study1(), "lcbf")
-    if name == "study2_lcbf":
-        return _mode_variant(_study2(), "lcbf")
-    if name == "lq_oracle":
-        return _lq_oracle()
-    raise KeyError(f"unknown preset {name!r}; known: {PRESET_NAMES}")
+    if name not in _BUILDERS:
+        raise KeyError(f"unknown preset {name!r}; known: {PRESET_NAMES}")
+    return _BUILDERS[name]()

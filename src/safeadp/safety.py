@@ -11,7 +11,6 @@ the origin stays the minimizer.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,7 +33,6 @@ class SafetySpec:
     ell: float
     kappa: float
     name: str = "custom"
-    params: tuple = ()
 
     def __post_init__(self):
         if self.ell <= 0 or self.kappa <= 0:
@@ -73,7 +71,7 @@ def circular_obstacle(center, radius: float, kappa: float, ell: float) -> Safety
         return 2.0 * (np.asarray(x, float) - center)
 
     return SafetySpec(h=h, grad_h=grad_h, ell=ell, kappa=kappa,
-                      name="circular_obstacle", params=(tuple(center), radius))
+                      name="circular_obstacle")
 
 
 def h_eval(spec: SafetySpec, x):
@@ -207,9 +205,6 @@ class SafetyReport:
             "first_margin_violation_time": self.first_margin_violation_time,
             "violated": self.violated,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def monitor_safety(spec: SafetySpec, t, x, x_hat=None, envelope=None) -> SafetyReport:

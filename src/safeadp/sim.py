@@ -9,7 +9,6 @@ produce bit-identical logs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,22 +79,20 @@ class ControlProblem:
 class TrajectoryLog:
     """Fixed-schema per-step record of a run."""
 
+    # attribute -> CSV column, in column order.  The vector fields x, x_hat, u
+    # and weights take one numbered column per component: x1, x2, ...
+    FIELDS = {"t": "t", "x": "x", "x_hat": "xhat", "envelope": "envelope",
+              "u": "u", "weights": "w", "delta": "bellman_error", "h": "h",
+              "h_robust": "h_robust", "err": "err_norm",
+              "gain_min": "gain_eig_min", "gain_max": "gain_eig_max",
+              "gain_asym": "gain_asym", "excitation": "excitation"}
+
     def __init__(self, n: int, m: int, L: int, capacity: int):
-        self.n, self.m, self.L = n, m, L
-        self.t = np.zeros(capacity)
-        self.x = np.zeros((capacity, n))
-        self.x_hat = np.zeros((capacity, n))
-        self.envelope = np.zeros(capacity)
-        self.u = np.zeros((capacity, m))
-        self.weights = np.zeros((capacity, L))
-        self.delta = np.zeros(capacity)
-        self.h = np.zeros(capacity)
-        self.h_robust = np.zeros(capacity)
-        self.err = np.zeros(capacity)
-        self.gain_min = np.zeros(capacity)
-        self.gain_max = np.zeros(capacity)
-        self.gain_asym = np.zeros(capacity)
-        self.excitation = np.zeros(capacity)
+        self._width = {"x": n, "x_hat": n, "u": m, "weights": L}
+        for attr in self.FIELDS:
+            width = self._width.get(attr)
+            setattr(self, attr, np.zeros(capacity if width is None
+                                         else (capacity, width)))
         self.size = 0
 
     def append(self, **kw):
@@ -105,35 +102,32 @@ class TrajectoryLog:
         self.size += 1
 
     def truncate(self):
-        for name in ("t", "x", "x_hat", "envelope", "u", "weights", "delta",
-                     "h", "h_robust", "err", "gain_min", "gain_max",
-                     "gain_asym", "excitation"):
-            setattr(self, name, getattr(self, name)[:self.size])
+        for attr in self.FIELDS:
+            setattr(self, attr, getattr(self, attr)[:self.size])
 
-    def columns(self) -> list[str]:
-        cols = ["t"]
-        cols += [f"x{i+1}" for i in range(self.n)]
-        cols += [f"xhat{i+1}" for i in range(self.n)]
-        cols += ["envelope"]
-        cols += [f"u{i+1}" for i in range(self.m)]
-        cols += [f"w{i+1}" for i in range(self.L)]
-        cols += ["bellman_error", "h", "h_robust", "err_norm",
-                 "gain_eig_min", "gain_eig_max", "gain_asym", "excitation"]
+    def columns(self, attrs=None) -> list[str]:
+        """CSV column names of the given fields (default: all of them)."""
+        cols = []
+        for attr in attrs or self.FIELDS:
+            col, width = self.FIELDS[attr], self._width.get(attr)
+            cols += [col] if width is None else [f"{col}{i+1}"
+                                                 for i in range(width)]
         return cols
 
-    def rows(self):
-        for i in range(self.size):
-            row = [self.t[i], *self.x[i], *self.x_hat[i], self.envelope[i],
-                   *self.u[i], *self.weights[i], self.delta[i], self.h[i],
-                   self.h_robust[i], self.err[i], self.gain_min[i],
-                   self.gain_max[i], self.gain_asym[i], self.excitation[i]]
-            yield row
+    def rows(self, attrs=None):
+        """Logged rows of the given fields (default: all) as float lists."""
+        cols = [getattr(self, attr)[:self.size].reshape(
+                    self.size, self._width.get(attr, 1))
+                for attr in attrs or self.FIELDS]
+        for i in range(0, self.size, 256):  # a block at a time bounds memory
+            for row in np.concatenate([c[i:i + 256] for c in cols], axis=1):
+                yield row.tolist()
 
-    def to_csv(self, path):
+    def to_csv(self, path, attrs=None):
         with open(path, "w", newline="") as f:
-            f.write(",".join(self.columns()) + "\n")
-            for row in self.rows():
-                f.write(",".join(repr(float(v)) for v in row) + "\n")
+            f.write(",".join(self.columns(attrs)) + "\n")
+            for row in self.rows(attrs):
+                f.write(",".join(map(repr, row)) + "\n")
 
 
 @dataclass
@@ -164,9 +158,6 @@ class RunSummary:
     def to_json_dict(self) -> dict:
         d = dict(self.__dict__)
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def _floor_gain(G: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
@@ -245,15 +236,10 @@ def _rk4_step(rhs, dt: float, gain_floor: float, t: float, x, x_hat, weights,
     return x_new, xh_new, w_new, g_new, asym
 
 
-def step(problem: ControlProblem, t: float, x, x_hat, weights, gain):
-    """One RK4 step of the coupled plant/observer/critic state.
-
-    The control is recomputed at every stage from the stage estimate and the
-    closed-form envelope at the stage time.
-    """
-    rhs = _make_rhs(problem)
-    return _rk4_step(rhs, problem.sim.dt, problem.sim.gain_floor,
-                     t, x, x_hat, weights, gain)
+def _event(name: str, t: float, detail: str) -> dict:
+    """A monitor event: first and last time, count and the first detail."""
+    return {"monitor": name, "first_t": float(t), "last_t": float(t),
+            "count": 1, "detail": detail}
 
 
 def run(problem: ControlProblem) -> tuple[TrajectoryLog, RunSummary]:
@@ -272,9 +258,8 @@ def run(problem: ControlProblem) -> tuple[TrajectoryLog, RunSummary]:
         if err0 > gains.eps0 * EPS0_SLACK:
             raise ValueError(
                 f"initial estimate error {err0:.6g} exceeds eps0={gains.eps0}")
-        events.append({"monitor": "initial_error_bound", "first_t": 0.0,
-                       "last_t": 0.0, "count": 1,
-                       "detail": f"||x0-xhat0||={err0:.6g} > eps0={gains.eps0}"})
+        events.append(_event("initial_error_bound", 0.0,
+                             f"||x0-xhat0||={err0:.6g} > eps0={gains.eps0}"))
 
     steps = int(round(cfg.T / cfg.dt)) if cfg.T > 0 else 0
     n_log = steps // cfg.log_every + 1
@@ -293,9 +278,7 @@ def run(problem: ControlProblem) -> tuple[TrajectoryLog, RunSummary]:
     def emit(name, t, detail) -> bool:
         rec = tally.get(name)
         if rec is None:
-            rec = {"monitor": name, "first_t": float(t), "last_t": float(t),
-                   "count": 1, "detail": detail}
-            tally[name] = rec
+            tally[name] = rec = _event(name, t, detail)
             events.append(rec)
         else:
             rec["last_t"] = float(t)
@@ -355,15 +338,13 @@ def run(problem: ControlProblem) -> tuple[TrajectoryLog, RunSummary]:
     if abort_reason is None:
         term_x = float(np.linalg.norm(x))
         if cfg.ultimate_bound_x is not None and term_x > cfg.ultimate_bound_x:
-            events.append({"monitor": "ultimate_bound_x", "first_t": float(cfg.T),
-                           "last_t": float(cfg.T), "count": 1,
-                           "detail": f"|x(T)|={term_x:.6g} > {cfg.ultimate_bound_x}"})
+            events.append(_event("ultimate_bound_x", cfg.T,
+                                 f"|x(T)|={term_x:.6g} > {cfg.ultimate_bound_x}"))
         term_e = float(np.linalg.norm(x - xh))
         if (cfg.ultimate_bound_err is not None
                 and term_e > cfg.ultimate_bound_err):
-            events.append({"monitor": "ultimate_bound_err", "first_t": float(cfg.T),
-                           "last_t": float(cfg.T), "count": 1,
-                           "detail": f"|err(T)|={term_e:.6g} > {cfg.ultimate_bound_err}"})
+            events.append(_event("ultimate_bound_err", cfg.T,
+                                 f"|err(T)|={term_e:.6g} > {cfg.ultimate_bound_err}"))
 
     log.truncate()
     ratio = (log.err / np.maximum(log.envelope, 1e-300)) if log.size else np.array([0.0])

@@ -1,0 +1,85 @@
+"""Golden CLI outputs: the SHA-256 of every file a command writes.
+
+`trajectory.csv` beyond its first columns, `plotdata/*.csv` and the content of
+`certificate.json` are checked nowhere else.  The cases are a full run with a
+certificate, a run without an observer, `verify-lmi`, and a run that aborts at
+step 0, whose CSV files hold only their header rows.  Regenerate the stored
+file only in a change that deliberately alters an output, and say so in
+CHANGES.md:
+
+    PYTHONPATH=src python3 tests/golden/test_cli_outputs.py --regen
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from safeadp.cli import main
+from safeadp.presets import preset
+
+GOLDEN_FILE = Path(__file__).resolve().parent / "cli_outputs.json"
+
+
+def _abort_config(path: Path) -> str:
+    # the estimate starts outside the robustified safe set: barrier abort at
+    # step 0 with an empty log
+    raw = preset("study1").to_dict()
+    raw["sim"].update(x0=[0.5, 0.0], x_hat0=[0.95, 0.0], T=0.5)
+    cfg = path / "abort.json"
+    cfg.write_text(json.dumps(raw))
+    return str(cfg)
+
+
+CASES = {
+    "run_study2_lcbf": (0, lambda tmp: ["run", "--preset", "study2_lcbf",
+                                        "--horizon", "0.05"]),
+    "run_lq_oracle": (0, lambda tmp: ["run", "--preset", "lq_oracle",
+                                      "--horizon", "0.05"]),
+    "verify_lmi_study1": (0, lambda tmp: ["verify-lmi", "--preset", "study1"]),
+    "run_step0_abort": (1, lambda tmp: ["run", "--config",
+                                        _abort_config(tmp)]),
+}
+
+
+def outputs(name: str) -> dict:
+    """Exit code and {relative path: SHA-256} of the files the case writes."""
+    want_code, argv = CASES[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        out = tmp / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main([*argv(tmp), "--out", str(out)])
+        files = {p.relative_to(out).as_posix():
+                 hashlib.sha256(p.read_bytes()).hexdigest()
+                 for p in sorted(out.rglob("*")) if p.is_file()}
+    assert code == want_code
+    return {"exit_code": code, "files": files}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_FILE.read_text())
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_cli_outputs_bytewise(name, golden):
+    got = outputs(name)
+    want = golden[name]
+    assert got["exit_code"] == want["exit_code"]
+    assert sorted(got["files"]) == sorted(want["files"])
+    for path, digest in want["files"].items():
+        assert got["files"][path] == digest, f"{name}: {path} differs"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regen"]:
+        print(__doc__, file=sys.stderr)
+        sys.exit(2)
+    GOLDEN_FILE.write_text(json.dumps({n: outputs(n) for n in CASES},
+                                      indent=1, sort_keys=True) + "\n")

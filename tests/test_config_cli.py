@@ -225,11 +225,13 @@ def test_cli_run_initial_error_beyond_slack(tmp_path, capsys):
     raw["sim"]["x_hat0"] = [3.0, 1.5]      # error 6, eps0 2.5
     cfg_file = tmp_path / "badinit.json"
     cfg_file.write_text(json.dumps(raw))
-    code = main(["run", "--config", str(cfg_file),
-                 "--out", str(tmp_path / "o")])
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(cfg_file), "--out", str(out)])
     assert code == 1
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert payload["error"] == "run_error"
+    # the certificates are computed before the run but written only after it
+    assert not out.exists()
 
 
 def test_cli_run_nonfinite_plant_is_machine_readable(tmp_path, capsys,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,17 @@ def test_basis_jacobian_matches_finite_differences(rng):
             fd = (BASIS.phi(z + step) - BASIS.phi(z - step)) / (2 * eps)
             scale = np.maximum(np.abs(fd), 1e-8)
             assert np.all(np.abs(jac[:, i] - fd) / scale <= 1e-6)
+
+
+def test_learning_config_derives_the_inverse_control_weight():
+    learn = _learn(R_u=2.0)
+    assert np.array_equal(learn.R_u_inv, [[0.5]])
+    with pytest.raises(TypeError):
+        LearningConfig(k_c=5.0, gamma_c=1.0, beta=0.01, u_bar=10.0,
+                       R_u=np.eye(1), Q=np.eye(2), points=np.zeros((1, 2)),
+                       R_u_inv=np.eye(1))
+    again = dataclasses.replace(learn, R_u=np.array([[4.0]]))
+    assert np.array_equal(again.R_u_inv, [[0.25]])
 
 
 # ---------------------------------------------------------------- penalty
@@ -333,10 +346,3 @@ def test_oracle_full_weight_vector_converges(oracle_run):
     w = np.array(oracle_run.summary.terminal_weights)
     target = np.array([0.5, 0.0, 1.0, 0.0, 0.0, 0.0])
     assert np.linalg.norm(w - target) <= 0.15
-
-
-def test_critic_state_validation():
-    state = sa.CriticState(weights=np.zeros(6), gain=np.eye(6))
-    assert state.gain.shape == (6, 6)
-    with pytest.raises(ValueError):
-        sa.CriticState(weights=np.zeros(6), gain=np.eye(5))

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import safeadp as sa
-from safeadp.lmi import (LmiProblem, SearchParams, assemble_lmi_matrix,
-                         synthesize_gains, verify_gains)
+from safeadp.lmi import (MAX_VERTEX_DIM, LmiProblem, SearchParams,
+                         assemble_lmi_matrix, synthesize_gains, verify_gains)
 
 C_ROW = np.array([[0.0, 1.0]])
 
@@ -83,6 +83,23 @@ def test_verify_all_vertices_rejects_zero_vertex():
         problem, np.eye(2), np.zeros((2, 1)), np.zeros((2, 1)),
         np.zeros((2, 1)), np.zeros((2, 2))))[-1]
     assert zero_eig > 0
+
+
+def test_vertex_enumeration_refuses_large_state(monkeypatch):
+    # n = 5 would enumerate 2^25 matrices; the cap must fire before any
+    # vertex is built
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("vertex enumeration started")
+
+    monkeypatch.setattr("safeadp.lmi.itertools.product", no_enumeration)
+    n = MAX_VERTEX_DIM + 1
+    problem = _zero_gap_problem(-np.eye(n), C=np.eye(1, n))
+    zeros = np.zeros((n, 1))
+    with pytest.raises(ValueError, match=r"2\^25 matrices for n = 5"):
+        verify_gains(problem, np.eye(n), zeros, zeros, zeros,
+                     mode="all_vertices")
+    cert = verify_gains(problem, np.eye(n), zeros, zeros, zeros)
+    assert cert.mode == "theta_identity"
 
 
 def test_norm_constraint_dominates():

@@ -98,12 +98,3 @@ def test_domain_validation():
         DomainSet(kind="ball", center=[0, 0], radius=0.0)
     with pytest.raises(ValueError):
         DomainSet(kind="pentagon", center=[0, 0], radius=1.0)
-
-
-def test_augmented_state_type():
-    s = sa.AugmentedState(x=[1.0, 2.0], xi=0.5)
-    assert np.allclose(s.as_vector(), [1, 2, 0.5])
-    back = sa.AugmentedState.from_vector([1, 2, 0.5])
-    assert back.xi == 0.5
-    with pytest.raises(ValueError):
-        sa.AugmentedState(x=[0.0, 0.0], xi=-0.1)

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 import safeadp as sa
 from safeadp.model import DomainSet
-from safeadp.observer import (ObserverGains, error_envelope, observer_rhs,
-                              project)
+from safeadp.observer import ObserverGains, error_envelope, observer_rhs
 
 STUDY1_P = np.array([[0.27222, 0.15875], [0.15875, 0.40954]])
 STUDY1_L1 = np.array([0.14719, 0.14719])
@@ -23,16 +22,16 @@ def _gains(l3=STUDY1_L3, eps0=2.5):
 
 
 def test_projection_interior_fixed_point():
-    assert np.allclose(project(BOX3, [1.0, -2.0]), [1.0, -2.0])
+    assert np.allclose(BOX3.project([1.0, -2.0]), [1.0, -2.0])
 
 
 def test_projection_box_clamp():
-    assert np.allclose(project(BOX3, [5.0, 0.0]), [3.0, 0.0])
+    assert np.allclose(BOX3.project([5.0, 0.0]), [3.0, 0.0])
 
 
 def test_projection_ball_radial():
     # ||(4,3)|| = 5, so the nearest unit-ball point is (4,3)/5
-    assert np.allclose(project(BALL1, [4.0, 3.0]), [0.8, 0.6])
+    assert np.allclose(BALL1.project([4.0, 3.0]), [0.8, 0.6])
 
 
 @pytest.mark.parametrize("domain", [BOX3, BALL1], ids=["box", "ball"])
@@ -40,8 +39,8 @@ def test_projection_idempotent_and_nonexpansive(domain, rng):
     for _ in range(1000):
         a = rng.uniform(-8, 8, 2)
         b = rng.uniform(-8, 8, 2)
-        pa, pb = project(domain, a), project(domain, b)
-        assert np.allclose(project(domain, pa), pa, atol=1e-12)
+        pa, pb = domain.project(a), domain.project(b)
+        assert np.allclose(domain.project(pa), pa, atol=1e-12)
         assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
 
 
@@ -53,7 +52,7 @@ def test_scalar_projection_monotone_slope(a, b):
     if abs(a - b) < 1e-9:
         return
     dom = DomainSet(kind="box", center=np.zeros(1), halfwidths=np.ones(1))
-    slope = float((project(dom, [a])[0] - project(dom, [b])[0]) / (a - b))
+    slope = float((dom.project([a])[0] - dom.project([b])[0]) / (a - b))
     assert -1e-12 <= slope <= 1.0 + 1e-12
 
 

@@ -9,7 +9,8 @@ from safeadp import sim
 from safeadp.critic import LearningConfig, quadratic_basis_2d
 from safeadp.observer import ObserverGains, observer_rhs
 from safeadp.safety import parabola_interior
-from safeadp.sim import (ControlProblem, SimConfig, _floor_gain, run, step)
+from safeadp.sim import (ControlProblem, SimConfig, _floor_gain, _make_rhs,
+                         _rk4_step, run)
 
 BASIS = quadratic_basis_2d()
 
@@ -42,8 +43,9 @@ def test_fixed_point_step():
     # derivative vanishes except the forgetting-factor growth of the gain
     prob = _problem(x0=(0.0, 0.0), eps0=1e-12, points=((0.0, 0.0),))
     W0 = np.array([0.5, 1.0, 0.8, 0.1, 0.1, 0.1])
-    x, xh, W, G, _ = step(prob, 0.0, np.zeros(2), np.zeros(2), W0.copy(),
-                          np.eye(6))
+    x, xh, W, G, _ = _rk4_step(_make_rhs(prob), prob.sim.dt,
+                               prob.sim.gain_floor, 0.0, np.zeros(2),
+                               np.zeros(2), W0.copy(), np.eye(6))
     assert np.allclose(x, 0.0, atol=1e-12)
     assert np.allclose(xh, 0.0, atol=1e-12)
     assert np.allclose(W, W0, atol=1e-12)
