@@ -1,0 +1,50 @@
+#!/usr/bin/env python3
+"""Print the size of the package source and of its public surface.
+
+Two numbers: the line count of ``src/safeadp/*.py`` (what
+``cat src/safeadp/*.py | wc -l`` prints) and the count of public names,
+which is the module-level functions and classes plus the methods and
+properties of those classes whose names do not start with an underscore.
+Nested functions and dataclass fields are not counted.
+
+    python3 scripts/surface.py [SRC_DIR]
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src" / "safeadp"
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _public(node) -> bool:
+    return isinstance(node, _DEFS) and not node.name.startswith("_")
+
+
+def surface(src: Path) -> tuple[int, list[str]]:
+    """(line count, sorted public names as module.name or module.Class.name)."""
+    lines, names = 0, []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        lines += text.count("\n")
+        for node in ast.parse(text).body:
+            if not _public(node):
+                continue
+            names.append(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                names += [f"{path.stem}.{node.name}.{m.name}"
+                          for m in node.body if _public(m)]
+    return lines, sorted(names)
+
+
+def main(argv) -> int:
+    src = Path(argv[0]) if argv else DEFAULT_SRC
+    lines, names = surface(src)
+    print(f"src lines: {lines}")
+    print(f"public names: {len(names)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

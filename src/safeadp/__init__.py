@@ -5,7 +5,7 @@ harness that ties them together."""
 from .critic import (Basis, BarrierMode, LearningConfig,
                      bellman_error, critic_derivatives, excitation_level,
                      extrapolation_terms, quadratic_basis_2d,
-                     saturated_policy, saturation_penalty, value_estimate)
+                     saturated_policy, saturation_penalty)
 from .config import RunConfig, build_problem, load_config
 from .lmi import (LmiCertificate, LmiProblem, SearchParams,
                   assemble_lmi_matrix, synthesize_gains, verify_gains)
@@ -15,8 +15,7 @@ from .observer import ObserverGains, error_envelope, observer_rhs
 from .presets import PRESET_NAMES, preset
 from .safety import (BarrierDomainError, SafetySpec, barrier_cost,
                      barrier_cost_gradient, circular_obstacle, h_eval,
-                     lipschitz_audit, monitor_safety, parabola_interior,
-                     robust_margin)
+                     lipschitz_audit, monitor_safety, parabola_interior)
 from .sim import ControlProblem, SimConfig, TrajectoryLog, run
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,16 @@ def _certificates(problem) -> dict:
             for mode in lmi.VERIFY_MODES}
 
 
+def _check_writable(out: Path):
+    """Raise OSError, creating nothing, unless a file can be made in the
+    nearest existing ancestor of `out`."""
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    try:
+        tempfile.TemporaryFile(dir=existing).close()
+    except OSError as exc:
+        raise OSError(f"cannot write {out}: {exc.strerror}") from exc
+
+
 def _write_json(path: Path, payload):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -86,12 +97,13 @@ def cmd_run(args) -> int:
         if synth_cert is not None:
             certs["synthesis"] = synth_cert.to_json_dict()
 
+    out = Path(args.out)
+    _check_writable(out)
     try:
         log, summary = run(problem)
     except ValueError as exc:
         print(json.dumps({"error": "run_error", "reason": str(exc)}))
         return EXIT_RUN_FAILED
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if certs is not None:
         summary.certificate_file = "certificate.json"

@@ -9,6 +9,7 @@ which case the gain search runs at build time and its certificate is attached.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import (asdict, dataclass, field, fields, is_dataclass,
                          replace)
 from typing import Any
@@ -25,6 +26,18 @@ from .sim import ControlProblem, SimConfig
 
 class ConfigError(ValueError):
     """Configuration file fails schema validation."""
+
+
+@contextmanager
+def _invalid(ctx: str):
+    """Re-raise a ValueError or TypeError about a config value as a
+    ConfigError naming its section."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{ctx}: {exc}") from exc
 
 
 def _check_keys(section: dict, allowed, required: set[str], ctx: str):
@@ -55,8 +68,9 @@ class ModelConfig:
         return cls(**d)
 
     def build(self) -> SystemModel:
-        return MODEL_REGISTRY[self.name](u_bar=self.u_bar,
-                                         box_halfwidth=self.box_halfwidth)
+        with _invalid("model"):
+            return MODEL_REGISTRY[self.name](u_bar=self.u_bar,
+                                             box_halfwidth=self.box_halfwidth)
 
 
 @dataclass(frozen=True)
@@ -78,10 +92,8 @@ class ObserverConfig:
             d["gains"] = {
                 "P": tuple(tuple(float(v) for v in row)
                            for row in np.atleast_2d(np.asarray(gains["P"], float))),
-                "l1": tuple(np.ravel(np.asarray(gains["l1"], float)).tolist()),
-                "l2": tuple(np.ravel(np.asarray(gains["l2"], float)).tolist()),
-                "l3": tuple(np.ravel(np.asarray(gains["l3"], float)).tolist()),
-            }
+                **{k: tuple(np.ravel(np.asarray(gains[k], float)).tolist())
+                   for k in ("l1", "l2", "l3")}}
         elif gains != "synthesize":
             raise ConfigError("observer.gains must be a matrix dict or 'synthesize'")
         if "synthesis" in d:
@@ -91,22 +103,20 @@ class ObserverConfig:
 
     def build(self, model: SystemModel):
         """Returns (ObserverGains, certificate-or-None)."""
-        if isinstance(self.gains, dict):
-            g = ObserverGains(P=np.array(self.gains["P"], float),
-                              l1=np.array(self.gains["l1"], float),
-                              l2=np.array(self.gains["l2"], float),
-                              l3=np.array(self.gains["l3"], float),
+        with _invalid("observer"):
+            if isinstance(self.gains, dict):
+                arrays = {k: np.array(v, float) for k, v in self.gains.items()}
+                return ObserverGains(**arrays, alpha=self.alpha,
+                                     eps0=self.eps0), None
+            problem = lmi.LmiProblem.from_model(model, self.alpha)
+            synth = dict(self.synthesis)
+            mode = synth.pop("mode", "theta_identity")
+            params = lmi.SearchParams(**synth) if synth else lmi.SearchParams()
+            P, l1, l2, l3, cert = lmi.synthesize_gains(problem, search=params,
+                                                       mode=mode)
+            g = ObserverGains(P=P, l1=l1, l2=l2, l3=l3,
                               alpha=self.alpha, eps0=self.eps0)
-            return g, None
-        problem = lmi.LmiProblem.from_model(model, self.alpha)
-        synth = dict(self.synthesis)
-        mode = synth.pop("mode", "theta_identity")
-        params = lmi.SearchParams(**synth) if synth else lmi.SearchParams()
-        P, l1, l2, l3, cert = lmi.synthesize_gains(problem, search=params,
-                                                   mode=mode)
-        g = ObserverGains(P=P, l1=l1, l2=l2, l3=l3,
-                          alpha=self.alpha, eps0=self.eps0)
-        return g, cert
+            return g, cert
 
 
 @dataclass(frozen=True)
@@ -130,10 +140,12 @@ class SafetyConfig:
     def build(self) -> SafetySpec | None:
         if self.kind == "none":
             return None
-        if self.kind == "parabola_interior":
-            return parabola_interior(kappa=self.kappa, ell=self.ell)
-        return circular_obstacle(center=np.array(self.center), radius=self.radius,
-                                 kappa=self.kappa, ell=self.ell)
+        with _invalid("safety"):
+            if self.kind == "parabola_interior":
+                return parabola_interior(kappa=self.kappa, ell=self.ell)
+            return circular_obstacle(center=np.array(self.center),
+                                     radius=self.radius, kappa=self.kappa,
+                                     ell=self.ell)
 
 
 def grid_points(halfwidth: float, per_axis: int, repel_center=None,
@@ -207,52 +219,31 @@ class LearningSettings:
         return cls(**d)
 
     def build(self, u_bar: float) -> LearningConfig:
-        return LearningConfig(k_c=self.k_c, gamma_c=self.gamma_c, beta=self.beta,
-                              u_bar=u_bar, R_u=np.array(self.R_u, float),
-                              Q=np.array(self.Q, float),
-                              points=self.points.build(),
-                              point_envelope=self.point_envelope,
-                              margin_floor=self.margin_floor)
+        with _invalid("learning"):
+            return LearningConfig(k_c=self.k_c, gamma_c=self.gamma_c,
+                                  beta=self.beta, u_bar=u_bar,
+                                  R_u=np.array(self.R_u, float),
+                                  Q=np.array(self.Q, float),
+                                  points=self.points.build(),
+                                  point_envelope=self.point_envelope,
+                                  margin_floor=self.margin_floor)
 
 
-@dataclass(frozen=True)
-class SimSettings:
-    dt: float = 1e-3
-    T: float = 10.0
-    x0: tuple = (0.0, 0.0)
-    x_hat0: tuple = (0.0, 0.0)
-    Wc0: tuple = (0.0,) * 6
-    Gamma0: Any = "identity"
-    controller_mode: str = "rlcbf"
-    monitor_action: str = "warn"
-    log_every: int = 1
-    ultimate_bound_x: float | None = None
-    ultimate_bound_err: float | None = None
-    excitation_warn: float = 0.0
+def _sim_from_dict(d: dict) -> SimConfig:
+    _check_keys(d, SimConfig, {"dt", "T", "x0", "x_hat0", "Wc0"}, "sim")
+    d = dict(d)
+    for key in ("x0", "x_hat0", "Wc0"):
+        d[key] = tuple(d[key])
+    if not isinstance(d.get("Gamma0", "identity"), str):
+        d["Gamma0"] = tuple(tuple(r) for r in d["Gamma0"])
+    return SimConfig(**d)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SimSettings":
-        _check_keys(d, cls, {"dt", "T", "x0", "x_hat0", "Wc0"}, "sim")
-        d = dict(d)
-        for key in ("x0", "x_hat0", "Wc0"):
-            d[key] = tuple(d[key])
-        if "Gamma0" in d and d["Gamma0"] != "identity":
-            d["Gamma0"] = tuple(tuple(r) for r in d["Gamma0"])
-        return cls(**d)
 
-    def build(self, L: int, observer_enabled: bool) -> SimConfig:
-        gamma0 = (np.eye(L) if self.Gamma0 == "identity"
-                  else np.array(self.Gamma0, float))
-        return SimConfig(dt=self.dt, T=self.T, x0=np.array(self.x0, float),
-                         x_hat0=np.array(self.x_hat0, float),
-                         Wc0=np.array(self.Wc0, float), Gamma0=gamma0,
-                         controller_mode=self.controller_mode,
-                         monitor_action=self.monitor_action,
-                         observer_enabled=observer_enabled,
-                         log_every=self.log_every,
-                         ultimate_bound_x=self.ultimate_bound_x,
-                         ultimate_bound_err=self.ultimate_bound_err,
-                         excitation_warn=self.excitation_warn)
+_SECTIONS = {"model": ModelConfig.from_dict,
+             "observer": ObserverConfig.from_dict,
+             "safety": SafetyConfig.from_dict,
+             "learning": LearningSettings.from_dict,
+             "sim": _sim_from_dict}
 
 
 @dataclass(frozen=True)
@@ -261,23 +252,24 @@ class RunConfig:
     observer: ObserverConfig
     safety: SafetyConfig
     learning: LearningSettings
-    sim: SimSettings
+    sim: SimConfig
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        _check_keys(d, cls, {"model", "observer", "safety", "learning", "sim"},
-                    "config")
-        return cls(model=ModelConfig.from_dict(d["model"]),
-                   observer=ObserverConfig.from_dict(d["observer"]),
-                   safety=SafetyConfig.from_dict(d["safety"]),
-                   learning=LearningSettings.from_dict(d["learning"]),
-                   sim=SimSettings.from_dict(d["sim"]))
+        with _invalid("config"):
+            _check_keys(d, cls, set(_SECTIONS), "config")
+        parts = {}
+        for name, parse in _SECTIONS.items():
+            with _invalid(name):
+                parts[name] = parse(d[name])
+        return cls(**parts)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     def replace_sim(self, **kw) -> "RunConfig":
-        return replace(self, sim=replace(self.sim, **kw))
+        with _invalid("sim"):
+            return replace(self, sim=replace(self.sim, **kw))
 
 
 def load_config(path) -> RunConfig:
@@ -296,7 +288,7 @@ def build_problem(config: RunConfig):
     spec = config.safety.build()
     basis = quadratic_basis_2d()
     learn = config.learning.build(u_bar=model.u_bar)
-    sim_cfg = config.sim.build(L=basis.L, observer_enabled=config.observer.enabled)
     problem = ControlProblem(model=model, gains=gains, basis=basis,
-                             learn=learn, spec=spec, sim=sim_cfg)
+                             learn=learn, spec=spec, sim=config.sim,
+                             observer_enabled=config.observer.enabled)
     return problem, cert

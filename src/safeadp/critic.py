@@ -106,10 +106,6 @@ class LearningConfig:
             raise ValueError("need at least one extrapolation point")
         object.__setattr__(self, "R_u_inv", np.linalg.inv(self.R_u))
 
-    @property
-    def N(self) -> int:
-        return len(self.points)
-
 
 # ---------------------------------------------------------------------------
 # Saturation penalty
@@ -170,15 +166,6 @@ def _barrier_terms(spec, mode: BarrierMode, zeta, floor=None):
                                            use_envelope=mode.use_envelope,
                                            floor=floor)
     return np.asarray(val, float), grad
-
-
-def value_estimate(basis: Basis, spec: SafetySpec | None, mode: BarrierMode,
-                   zeta, weights) -> float:
-    """Weighted features plus barrier cost."""
-    zeta = np.asarray(zeta, float)
-    val, _ = _barrier_terms(spec, mode, zeta)
-    return float(np.asarray(basis.phi(zeta), float) @ np.asarray(weights, float)
-                 + val)
 
 
 class CriticEvaluator:

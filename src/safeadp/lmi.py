@@ -16,8 +16,7 @@ gated by `verify_gains`.
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -93,19 +92,8 @@ class LmiCertificate:
     vertex_eigenvalues: list[float] | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "max_eigenvalue": self.max_eigenvalue,
-            "worst_theta": np.asarray(self.worst_theta).tolist(),
-            "norm_l1C": self.norm_l1C,
-            "norm_l2C": self.norm_l2C,
-            "mode": self.mode,
-            "tolerance": self.tolerance,
-            "vertex_eigenvalues": self.vertex_eigenvalues,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return {**asdict(self),
+                "worst_theta": np.asarray(self.worst_theta).tolist()}
 
 
 def assemble_lmi_matrix(problem: LmiProblem, P, R_lmi, l1, l2, theta) -> np.ndarray:
@@ -180,13 +168,15 @@ class SearchParams:
     step: float = 0.5
     tol: float = FEASIBILITY_TOL
     seed: int = 0
-    pd_floor: float = 1e-6
 
 
-def _project_pd(P: np.ndarray, floor: float) -> np.ndarray:
+PD_FLOOR = 1e-6     # smallest eigenvalue of a candidate P
+
+
+def _project_pd(P: np.ndarray) -> np.ndarray:
     P = 0.5 * (P + P.T)
     ev, V = np.linalg.eigh(P)
-    return (V * np.maximum(ev, floor)) @ V.T
+    return (V * np.maximum(ev, PD_FLOOR)) @ V.T
 
 
 def _penalty(problem: LmiProblem, P, R, l1, l2, mode: str) -> float:
@@ -195,38 +185,25 @@ def _penalty(problem: LmiProblem, P, R, l1, l2, mode: str) -> float:
     return max(eigs) + hinge
 
 
-def synthesize_gains(problem: LmiProblem, initial_guess: dict | None = None,
-                     search: SearchParams = SearchParams(),
+def synthesize_gains(problem: LmiProblem, search: SearchParams = SearchParams(),
                      mode: str = "theta_identity"):
     """Seeded gradient-free penalty search for feasible gains.
 
     Decision variables are P (kept symmetric positive definite by eigenvalue
-    clipping), R_lmi, l1 and l2; l3 is recovered as P^-1 R_lmi.  Returns
+    clipping), R_lmi, l1 and l2; l3 is recovered as P^-1 R_lmi.  The search
+    starts at P = I with zero R_lmi, l1 and l2.  Returns
     ``(P, l1, l2, l3, certificate)``; an exhausted budget yields an infeasible
-    certificate rather than an exception.  A warm start that already satisfies
-    the penalty target is returned unchanged.
+    certificate rather than an exception.
     """
     n, q = problem.n, problem.q
     rng = np.random.default_rng(search.seed)
 
-    if initial_guess is not None:
-        P = _project_pd(np.asarray(initial_guess["P"], float), search.pd_floor)
-        R = np.asarray(initial_guess["R_lmi"], float).reshape(n, q)
-        l1 = np.asarray(initial_guess["l1"], float).reshape(n, q)
-        l2 = np.asarray(initial_guess["l2"], float).reshape(n, q)
-    else:
-        P = np.eye(n)
-        R = np.zeros((n, q))
-        l1 = np.zeros((n, q))
-        l2 = np.zeros((n, q))
-
-    best = (P, R, l1, l2)
-    best_pen = _penalty(problem, P, R, l1, l2, mode)
+    best = (np.eye(n), np.zeros((n, q)), np.zeros((n, q)), np.zeros((n, q)))
+    best_pen = _penalty(problem, *best, mode)
     step = search.step
     if best_pen > -search.tol:
         for _ in range(search.budget):
-            P_c = _project_pd(best[0] + step * rng.standard_normal((n, n)),
-                              search.pd_floor)
+            P_c = _project_pd(best[0] + step * rng.standard_normal((n, n)))
             R_c = best[1] + step * rng.standard_normal((n, q))
             l1_c = best[2] + 0.1 * step * rng.standard_normal((n, q))
             l2_c = best[3] + 0.1 * step * rng.standard_normal((n, q))

@@ -24,46 +24,26 @@ class SaturationError(ValueError):
 
 @dataclass(frozen=True)
 class DomainSet:
-    """Closed convex set with a closed-form nearest-point projection.
+    """Axis-aligned box ``center +- halfwidths``, the state domain."""
 
-    kind "box": axis-aligned box ``center +- halfwidths``.
-    kind "ball": Euclidean ball of given radius around center.
-    """
-
-    kind: str
     center: np.ndarray
-    halfwidths: np.ndarray | None = None
-    radius: float | None = None
+    halfwidths: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in ("box", "ball"):
-            raise ValueError(f"unknown domain kind {self.kind!r}")
         object.__setattr__(self, "center", np.asarray(self.center, float))
-        if self.kind == "box":
-            if self.halfwidths is None:
-                raise ValueError("box domain needs halfwidths")
-            hw = np.asarray(self.halfwidths, float)
-            if np.any(hw <= 0):
-                raise ValueError("box halfwidths must be positive")
-            object.__setattr__(self, "halfwidths", hw)
-        else:
-            if self.radius is None or self.radius <= 0:
-                raise ValueError("ball domain needs a positive radius")
+        hw = np.asarray(self.halfwidths, float)
+        if np.any(hw <= 0):
+            raise ValueError("box halfwidths must be positive")
+        object.__setattr__(self, "halfwidths", hw)
 
     @property
     def dim(self) -> int:
         return self.center.shape[0]
 
     def project(self, x) -> np.ndarray:
-        """Nearest point in the set (per-coordinate clamp / radial scaling)."""
-        x = np.asarray(x, float)
-        if self.kind == "box":
-            return x.clip(self.center - self.halfwidths,
-                          self.center + self.halfwidths)
-        d = x - self.center
-        r = np.linalg.norm(d, axis=-1, keepdims=True)
-        scale = np.where(r > self.radius, self.radius / np.maximum(r, 1e-300), 1.0)
-        return self.center + d * scale
+        """Nearest point in the box (per-coordinate clamp)."""
+        return np.asarray(x, float).clip(self.center - self.halfwidths,
+                                         self.center + self.halfwidths)
 
 
 @dataclass(frozen=True)
@@ -166,15 +146,10 @@ def audit_jacobian_bounds(model: SystemModel, n_grid: int = 21, n_u: int = 5,
     worst element-wise margin against [Kf1, Kf2] / [Kg1, Kg2].
     """
     dom = model.domain
-    if dom.kind == "box":
-        axes = [np.linspace(c - h, c + h, n_grid)
-                for c, h in zip(dom.center, dom.halfwidths)]
-    else:
-        axes = [np.linspace(c - dom.radius, c + dom.radius, n_grid) for c in dom.center]
+    axes = [np.linspace(c - h, c + h, n_grid)
+            for c, h in zip(dom.center, dom.halfwidths)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    if dom.kind == "ball":
-        pts = pts[np.linalg.norm(pts - dom.center, axis=1) <= dom.radius]
 
     eye = np.eye(model.n)
     jac_f = np.zeros((len(pts), model.n, model.n))
@@ -254,8 +229,7 @@ def vamvoudakis2d(u_bar: float = 10.0, box_halfwidth: float = 3.0) -> SystemMode
     Kf2 = np.array([[-1.0, 1.0], [-0.5 + m + pad, 4.0 + pad]])
     Kg1 = np.array([[0.0, 0.0], [-2.0 * u_bar - pad, 0.0]])
     Kg2 = np.array([[0.0, 0.0], [2.0 * u_bar + pad, 0.0]])
-    domain = DomainSet(kind="box", center=np.zeros(2),
-                       halfwidths=np.full(2, box_halfwidth))
+    domain = DomainSet(center=np.zeros(2), halfwidths=np.full(2, box_halfwidth))
     return SystemModel(n=2, m=1, q=1, f=f, g=g, C=np.array([[0.0, 1.0]]),
                        Kf1=Kf1, Kf2=Kf2, Kg1=Kg1, Kg2=Kg2,
                        u_bar=u_bar, domain=domain, name="vamvoudakis2d")

@@ -23,9 +23,8 @@ class ObserverEvaluationError(RuntimeError):
 class ObserverGains:
     """Observer gain set plus derived envelope parameters.
 
-    chi is the initial value of the error envelope,
-    ``sqrt(lmax(P)/lmin(P)) * eps0``; the P eigenvalues are computed once here
-    and cached.  R_lmi = P @ l3 is the variable the gain verification works
+    chi = ``sqrt(lmax(P)/lmin(P)) * eps0`` is the initial value of the error
+    envelope.  R_lmi = P @ l3 is the variable the gain verification works
     with (named to avoid clashing with the control-cost weight).
     """
 
@@ -37,8 +36,6 @@ class ObserverGains:
     eps0: float
     R_lmi: np.ndarray = field(init=False)
     chi: float = field(init=False)
-    P_eig_min: float = field(init=False)
-    P_eig_max: float = field(init=False)
 
     def __post_init__(self):
         P = np.asarray(self.P, float)
@@ -57,17 +54,9 @@ class ObserverGains:
         ev = np.linalg.eigvalsh(P)
         if ev[0] <= 0:
             raise ValueError("P must be positive definite")
-        object.__setattr__(self, "P_eig_min", float(ev[0]))
-        object.__setattr__(self, "P_eig_max", float(ev[-1]))
         object.__setattr__(self, "chi",
                            float(np.sqrt(ev[-1] / ev[0]) * self.eps0))
         object.__setattr__(self, "R_lmi", P @ self.l3)
-
-    def injection_norms(self, C) -> tuple[float, float]:
-        """Induced 2-norms of l1 C and l2 C (gain-design constraint is <= 1)."""
-        C = np.asarray(C, float)
-        return (float(np.linalg.norm(self.l1 @ C, 2)),
-                float(np.linalg.norm(self.l2 @ C, 2)))
 
 
 def error_envelope(gains: ObserverGains, t) -> np.ndarray | float:

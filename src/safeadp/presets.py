@@ -9,7 +9,8 @@ study only in the controller mode.
 from __future__ import annotations
 
 from .config import (LearningSettings, ModelConfig, ObserverConfig,
-                     PointsConfig, RunConfig, SafetyConfig, SimSettings)
+                     PointsConfig, RunConfig, SafetyConfig)
+from .sim import SimConfig
 
 # Lyapunov matrices and injection gains for the two studies.  The correction
 # gain l3 = (-10, 9) places the origin-linearized error poles near -3: fast
@@ -41,9 +42,9 @@ def _study1() -> RunConfig:
             R_u=((1.0,),), Q=((1.0, 0.0), (0.0, 1.0)),
             points=PointsConfig(kind="grid", halfwidth=0.25, per_axis=10),
             point_envelope="zero"),
-        sim=SimSettings(dt=1e-3, T=10.0, x0=(-3.0, 1.5), x_hat0=(-1.5, 1.0),
-                        Wc0=WC0, controller_mode="rlcbf",
-                        ultimate_bound_x=0.1, ultimate_bound_err=0.05))
+        sim=SimConfig(dt=1e-3, T=10.0, x0=(-3.0, 1.5), x_hat0=(-1.5, 1.0),
+                      Wc0=WC0, controller_mode="rlcbf",
+                      ultimate_bound_x=0.1, ultimate_bound_err=0.05))
 
 
 def _study2() -> RunConfig:
@@ -62,9 +63,9 @@ def _study2() -> RunConfig:
             points=PointsConfig(kind="grid", halfwidth=1.0, per_axis=10,
                                 repel_center=center, repel_radius=0.5),
             point_envelope="zero"),
-        sim=SimSettings(dt=1e-3, T=10.0, x0=(-1.0, 1.0), x_hat0=(-1.5, 1.5),
-                        Wc0=WC0, controller_mode="rlcbf",
-                        ultimate_bound_x=0.1, ultimate_bound_err=0.05))
+        sim=SimConfig(dt=1e-3, T=10.0, x0=(-1.0, 1.0), x_hat0=(-1.5, 1.5),
+                      Wc0=WC0, controller_mode="rlcbf",
+                      ultimate_bound_x=0.1, ultimate_bound_err=0.05))
 
 
 def _lq_oracle() -> RunConfig:
@@ -87,8 +88,8 @@ def _lq_oracle() -> RunConfig:
             R_u=((1.0,),), Q=((1.0, 0.0), (0.0, 1.0)),
             points=PointsConfig(kind="grid", halfwidth=1.0, per_axis=10),
             point_envelope="live"),
-        sim=SimSettings(dt=1e-3, T=10.0, x0=(-1.0, 1.0), x_hat0=(-1.0, 1.0),
-                        Wc0=WC0, controller_mode="none"))
+        sim=SimConfig(dt=1e-3, T=10.0, x0=(-1.0, 1.0), x_hat0=(-1.0, 1.0),
+                      Wc0=WC0, controller_mode="none"))
 
 
 _BUILDERS = {

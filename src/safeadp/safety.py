@@ -11,13 +11,12 @@ the origin stays the minimizer.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
 from .model import DomainSet
-from .observer import ObserverGains, error_envelope
 
 
 class BarrierDomainError(RuntimeError):
@@ -78,11 +77,6 @@ def h_eval(spec: SafetySpec, x):
     """Barrier value; nonnegative means safe."""
     out = np.asarray(spec.h(np.asarray(x, float)), float)
     return float(out) if out.ndim == 0 else out
-
-
-def robust_margin(spec: SafetySpec, gains: ObserverGains, x_hat, t):
-    """h at the estimate minus ell times the current error envelope."""
-    return h_eval(spec, x_hat) - spec.ell * error_envelope(gains, t)
 
 
 def _recenter_log(spec: SafetySpec, margin):
@@ -160,18 +154,10 @@ def lipschitz_audit(spec: SafetySpec, domain: DomainSet, n_pairs: int = 1000,
     """
     rng = np.random.default_rng(seed)
     n = domain.dim
-    if domain.kind == "box":
-        lo = domain.center - domain.halfwidths
-        hi = domain.center + domain.halfwidths
-        a = rng.uniform(lo, hi, size=(n_pairs, n))
-        b = rng.uniform(lo, hi, size=(n_pairs, n))
-    else:
-        def sample():
-            pts = rng.standard_normal((n_pairs, n))
-            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-            r = domain.radius * rng.uniform(0, 1, (n_pairs, 1)) ** (1.0 / n)
-            return domain.center + pts * r
-        a, b = sample(), sample()
+    lo = domain.center - domain.halfwidths
+    hi = domain.center + domain.halfwidths
+    a = rng.uniform(lo, hi, size=(n_pairs, n))
+    b = rng.uniform(lo, hi, size=(n_pairs, n))
     dist = np.linalg.norm(a - b, axis=1)
     keep = dist > 1e-12
     ratio = np.abs(h_eval(spec, a[keep]) - h_eval(spec, b[keep])) / dist[keep]
@@ -197,14 +183,7 @@ class SafetyReport:
         return self.first_violation_time is not None
 
     def to_json_dict(self) -> dict:
-        return {
-            "min_h": self.min_h,
-            "min_h_time": self.min_h_time,
-            "min_robust_margin": self.min_robust_margin,
-            "first_violation_time": self.first_violation_time,
-            "first_margin_violation_time": self.first_margin_violation_time,
-            "violated": self.violated,
-        }
+        return {**asdict(self), "violated": self.violated}
 
 
 def monitor_safety(spec: SafetySpec, t, x, x_hat=None, envelope=None) -> SafetyReport:

@@ -10,6 +10,7 @@ produce bit-identical logs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -24,29 +25,31 @@ CONTROLLER_MODES = ("rlcbf", "lcbf", "none")
 _MODE_MAP = {"rlcbf": "robust", "lcbf": "plain", "none": "off"}
 
 EPS0_SLACK = 1.02   # relative slack on the initial-error bound check
+GAIN_FLOOR = 1e-8   # smallest eigenvalue the critic gain matrix may reach
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    dt: float
-    T: float
-    x0: np.ndarray
-    x_hat0: np.ndarray
-    Wc0: np.ndarray
-    Gamma0: np.ndarray
+    """The `sim` section of a run; its fields are the JSON keys.  Vectors
+    are kept as given and `run` converts them; Gamma0 is a matrix or
+    "identity" (the identity of the weight size)."""
+
+    dt: float = 1e-3
+    T: float = 10.0
+    x0: Any = (0.0, 0.0)
+    x_hat0: Any = (0.0, 0.0)
+    Wc0: Any = (0.0,) * 6
+    Gamma0: Any = "identity"
     controller_mode: str = "rlcbf"
     monitor_action: str = "warn"
-    observer_enabled: bool = True
     log_every: int = 1
-    gain_floor: float = 1e-8
-    excitation_warn: float = 0.0
     ultimate_bound_x: float | None = None
     ultimate_bound_err: float | None = None
+    excitation_warn: float = 0.0
 
     def __post_init__(self):
-        for attr in ("x0", "x_hat0", "Wc0"):
-            object.__setattr__(self, attr, np.asarray(getattr(self, attr), float))
-        object.__setattr__(self, "Gamma0", np.atleast_2d(np.asarray(self.Gamma0, float)))
+        if isinstance(self.Gamma0, str) and self.Gamma0 != "identity":
+            raise ValueError("Gamma0 must be 'identity' or a matrix")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.T < 0:
@@ -71,6 +74,7 @@ class ControlProblem:
     learn: LearningConfig
     spec: SafetySpec | None
     sim: SimConfig
+    observer_enabled: bool = True
 
     def barrier_mode(self) -> BarrierMode:
         return BarrierMode(_MODE_MAP[self.sim.controller_mode])
@@ -156,19 +160,24 @@ class RunSummary:
         return self.abort_reason is None
 
     def to_json_dict(self) -> dict:
-        d = dict(self.__dict__)
-        return d
+        return dict(self.__dict__)
 
 
-def _floor_gain(G: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
-    """Symmetrize, record the asymmetry drift, clip eigenvalues at the floor."""
+def _floor_gain(G: np.ndarray):
+    """Symmetrize, record the asymmetry drift, clip eigenvalues at GAIN_FLOOR.
+
+    Returns (G, asym, eigenvalues of the returned G).  The eigenvectors are
+    computed only when the floor clips.
+    """
     asym = float(np.max(np.abs(G - G.T))) if G.size else 0.0
     G = 0.5 * (G + G.T)
-    ev, V = np.linalg.eigh(G)
-    if ev[0] < floor:
-        G = (V * np.maximum(ev, floor)) @ V.T
+    ev = np.linalg.eigvalsh(G)
+    if ev[0] < GAIN_FLOOR:
+        ev, V = np.linalg.eigh(G)
+        G = (V * np.maximum(ev, GAIN_FLOOR)) @ V.T
         G = 0.5 * (G + G.T)
-    return G, asym
+        ev = np.linalg.eigvalsh(G)
+    return G, asym, ev
 
 
 def _make_rhs(problem: ControlProblem):
@@ -180,16 +189,15 @@ def _make_rhs(problem: ControlProblem):
     normalizers, and the envelope at tau.
     """
     model, gains, learn = problem.model, problem.gains, problem.learn
-    cfg = problem.sim
+    observer_enabled = problem.observer_enabled
     critic = CriticEvaluator(model, problem.basis, problem.spec,
                              problem.barrier_mode(), learn, gains.alpha)
 
     def rhs(tau, x, xh, W, G, with_delta=False):
         env = error_envelope(gains, tau)
-        est = xh if cfg.observer_enabled else x
-        u, delta = critic.at(np.concatenate([est, [env]]), W, with_delta)
+        u, delta = critic.at(np.concatenate([xh, [env]]), W, with_delta)
         x_dot = drift(model, x) + effectiveness(model, x) @ u
-        if cfg.observer_enabled:
+        if observer_enabled:
             y = model.C @ x
             xh_dot = observer_rhs(model, gains, xh, y, u)
         else:
@@ -214,26 +222,22 @@ def _stage(rhs, stage: int, *args):
                         f"{exc}") from exc
 
 
-def _rk4_step(rhs, dt: float, gain_floor: float, t: float, x, x_hat, weights,
-              gain, k1=None):
+def _rk4_step(rhs, dt: float, t: float, x, x_hat, weights, gain, k1=None):
+    """One step of the state (x, x_hat, weights, gain); k1 may be given."""
+    state = (x, x_hat, weights, gain)
     if k1 is None:
-        k1, _ = _stage(rhs, 1, t, x, x_hat, weights, gain)
+        k1, _ = _stage(rhs, 1, t, *state)
     h = dt / 2.0
-    k2, _ = _stage(rhs, 2, t + h, x + h * k1[0], x_hat + h * k1[1],
-                   weights + h * k1[2], gain + h * k1[3])
-    k3, _ = _stage(rhs, 3, t + h, x + h * k2[0], x_hat + h * k2[1],
-                   weights + h * k2[2], gain + h * k2[3])
-    k4, _ = _stage(rhs, 4, t + dt, x + dt * k3[0], x_hat + dt * k3[1],
-                   weights + dt * k3[2], gain + dt * k3[3])
-    x_new = x + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    xh_new = x_hat + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    w_new = weights + dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-    g_new = gain + dt / 6.0 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-    g_new, asym = _floor_gain(g_new, gain_floor)
-    if not (np.isfinite(x_new).all() and np.isfinite(xh_new).all()
-            and np.isfinite(w_new).all() and np.isfinite(g_new).all()):
+    k2, _ = _stage(rhs, 2, t + h, *(s + h * k for s, k in zip(state, k1)))
+    k3, _ = _stage(rhs, 3, t + h, *(s + h * k for s, k in zip(state, k2)))
+    k4, _ = _stage(rhs, 4, t + dt, *(s + dt * k for s, k in zip(state, k3)))
+    x_new, xh_new, w_new, g_new = (
+        s + dt / 6.0 * (a + 2 * b + 2 * c + d)
+        for s, a, b, c, d in zip(state, k1, k2, k3, k4))
+    g_new, asym, g_eig = _floor_gain(g_new)
+    if not all(np.isfinite(v).all() for v in (x_new, xh_new, w_new, g_new)):
         raise FloatingPointError(f"integration diverged at t={t:.6g}")
-    return x_new, xh_new, w_new, g_new, asym
+    return x_new, xh_new, w_new, g_new, asym, g_eig
 
 
 def _event(name: str, t: float, detail: str) -> dict:
@@ -247,14 +251,20 @@ def run(problem: ControlProblem) -> tuple[TrajectoryLog, RunSummary]:
 
     Monitor violations are recorded as events; with monitor_action "abort"
     the run stops at the offending step.  A barrier-domain violation along
-    the estimate trajectory always stops the run with a report.
+    the estimate trajectory always stops the run with a report.  With the
+    observer off the estimate starts at the state and follows it exactly.
     """
     model, gains, basis = problem.model, problem.gains, problem.basis
     spec, cfg = problem.spec, problem.sim
+    observer_enabled = problem.observer_enabled
+    x0, x_hat0, W0 = (np.asarray(v, float)
+                      for v in (cfg.x0, cfg.x_hat0, cfg.Wc0))
+    gamma0 = (np.eye(len(W0)) if isinstance(cfg.Gamma0, str)
+              else np.atleast_2d(np.asarray(cfg.Gamma0, float)))
 
-    err0 = float(np.linalg.norm(cfg.x0 - cfg.x_hat0))
+    err0 = float(np.linalg.norm(x0 - x_hat0))
     events: list[dict] = []
-    if cfg.observer_enabled and err0 > gains.eps0:
+    if observer_enabled and err0 > gains.eps0:
         if err0 > gains.eps0 * EPS0_SLACK:
             raise ValueError(
                 f"initial estimate error {err0:.6g} exceeds eps0={gains.eps0}")
@@ -265,10 +275,10 @@ def run(problem: ControlProblem) -> tuple[TrajectoryLog, RunSummary]:
     n_log = steps // cfg.log_every + 1
     log = TrajectoryLog(model.n, model.m, basis.L, n_log)
 
-    x = cfg.x0.copy()
-    xh = cfg.x_hat0.copy() if cfg.observer_enabled else cfg.x0.copy()
-    W = cfg.Wc0.copy()
-    G, _ = _floor_gain(cfg.Gamma0.copy(), cfg.gain_floor)
+    x = x0.copy()
+    xh = x_hat0.copy() if observer_enabled else x0.copy()
+    W = W0.copy()
+    G, _, gev = _floor_gain(gamma0)
     asym_last = 0.0
     abort_reason = None
     rhs = _make_rhs(problem)
@@ -297,12 +307,10 @@ def run(problem: ControlProblem) -> tuple[TrajectoryLog, RunSummary]:
         except _EVALUATION_ERRORS as exc:
             abort_reason = f"evaluation_error at step {k}, t={t:.6g}, {exc}"
             break
-        est = xh if cfg.observer_enabled else x
         excite = excitation_level(omega, rho)
-        gev = np.linalg.eigvalsh(G)
         err = float(np.linalg.norm(x - xh))
         hx = float(spec.h(x)) if spec is not None else float("nan")
-        hr = (float(spec.h(est)) - spec.ell * env) if spec is not None else float("nan")
+        hr = (float(spec.h(xh)) - spec.ell * env) if spec is not None else float("nan")
 
         if k % cfg.log_every == 0:
             log.append(t=t, x=x, x_hat=xh, envelope=env, u=u, weights=W,
@@ -311,7 +319,7 @@ def run(problem: ControlProblem) -> tuple[TrajectoryLog, RunSummary]:
                        excitation=excite)
 
         stop = False
-        if cfg.observer_enabled and err > env * (1.0 + 1e-9):
+        if observer_enabled and err > env * (1.0 + 1e-9):
             stop = emit("error_envelope", t, f"err={err:.6g} > envelope={env:.6g}")
         if spec is not None and hx < 0 and not stop:
             stop = emit("safety_h", t, f"h(x)={hx:.6g} < 0")
@@ -325,8 +333,8 @@ def run(problem: ControlProblem) -> tuple[TrajectoryLog, RunSummary]:
         if k >= steps:
             break
         try:
-            x, xh, W, G, asym_last = _rk4_step(rhs, cfg.dt, cfg.gain_floor,
-                                               t, x, xh, W, G, k1=k1)
+            x, xh, W, G, asym_last, gev = _rk4_step(rhs, cfg.dt, t, x, xh, W,
+                                                    G, k1=k1)
         except (BarrierDomainError, FloatingPointError) as exc:
             abort_reason = f"integration_abort: {exc}"
             break

@@ -3,9 +3,10 @@
 `trajectory.csv` beyond its first columns, `plotdata/*.csv` and the content of
 `certificate.json` are checked nowhere else.  The cases are a full run with a
 certificate, a run without an observer, `verify-lmi`, and a run that aborts at
-step 0, whose CSV files hold only their header rows.  Regenerate the stored
-file only in a change that deliberately alters an output, and say so in
-CHANGES.md:
+step 0, whose CSV files hold only their header rows.  The JSON dump of every
+preset (`safeadp presets --name <p>`) is hashed as well, so the accepted
+config schema and the preset values cannot drift.  Regenerate the stored file
+only in a change that deliberately alters an output, and say so in CHANGES.md:
 
     PYTHONPATH=src python3 tests/golden/test_cli_outputs.py --regen
 """
@@ -21,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from safeadp.cli import main
-from safeadp.presets import preset
+from safeadp.presets import PRESET_NAMES, preset
 
 GOLDEN_FILE = Path(__file__).resolve().parent / "cli_outputs.json"
 
@@ -62,6 +63,17 @@ def outputs(name: str) -> dict:
     return {"exit_code": code, "files": files}
 
 
+def preset_dumps() -> dict:
+    """{preset name: SHA-256 of `safeadp presets --name <name>` stdout}."""
+    digests = {}
+    for name in PRESET_NAMES:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["presets", "--name", name]) == 0
+        digests[name] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return digests
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN_FILE.read_text())
@@ -77,9 +89,14 @@ def test_cli_outputs_bytewise(name, golden):
         assert got["files"][path] == digest, f"{name}: {path} differs"
 
 
+def test_preset_dumps_bytewise(golden):
+    assert preset_dumps() == golden["preset_dumps"]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regen"]:
         print(__doc__, file=sys.stderr)
         sys.exit(2)
-    GOLDEN_FILE.write_text(json.dumps({n: outputs(n) for n in CASES},
-                                      indent=1, sort_keys=True) + "\n")
+    GOLDEN_FILE.write_text(json.dumps(
+        {**{n: outputs(n) for n in CASES}, "preset_dumps": preset_dumps()},
+        indent=1, sort_keys=True) + "\n")

@@ -263,3 +263,65 @@ def test_cli_run_nonfinite_plant_is_machine_readable(tmp_path, capsys,
     assert "ModelEvaluationError" in payload["reason"]
     summary = json.loads((out / "summary.json").read_text())
     assert summary["abort_reason"] == payload["reason"]
+
+
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("the closed loop was started")
+
+
+@pytest.mark.parametrize("out_under_file", [False, True],
+                         ids=["out_is_a_file", "out_under_a_file"])
+def test_cli_run_unwritable_out_fails_before_the_run(tmp_path, capsys,
+                                                      monkeypatch,
+                                                      out_under_file):
+    monkeypatch.setattr("safeadp.cli.run", _fail_if_called)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out" if out_under_file else blocker
+    code = main(["run", "--preset", "study2", "--horizon", "2",
+                 "--out", str(out)])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "io_error"
+    assert blocker.read_text() == ""
+
+
+# (command, (section, key, value) written into a study1 config file, or None
+# for a preset run, extra arguments)
+INVALID_VALUES = [
+    ("run", ("sim", "dt", -1.0), []),
+    ("run", ("sim", "log_every", 0), []),
+    ("run", ("sim", "controller_mode", "xyz"), []),
+    ("run", ("sim", "T", "abc"), []),
+    ("run", ("learning", "k_c", 0.0), []),
+    ("run", ("learning", "point_envelope", "maybe"), []),
+    ("run", ("safety", "ell", -0.1), []),
+    ("run", ("model", "u_bar", -1.0), []),
+    ("run", ("model", "box_halfwidth", 0.0), []),
+    ("run", ("observer", "alpha", 0.0), []),
+    ("run", None, ["--preset", "study1", "--dt", "-1"]),
+    ("synthesize", ("model", "u_bar", -1.0), ["--budget", "5"]),
+    ("audit-bounds", ("model", "box_halfwidth", 0.0), []),
+]
+
+
+@pytest.mark.parametrize(
+    "command, edit, extra", INVALID_VALUES,
+    ids=[f"{c}-{'.'.join(map(str, e[:2])) if e else ' '.join(x)}"
+         for c, e, x in INVALID_VALUES])
+def test_cli_invalid_value_is_a_config_error(tmp_path, capsys, command, edit,
+                                             extra):
+    argv = [command, *extra]
+    if edit is not None:
+        section, key, value = edit
+        raw = preset("study1").to_dict()
+        raw[section][key] = value
+        cfg_file = tmp_path / "bad.json"
+        cfg_file.write_text(json.dumps(raw))
+        argv += ["--config", str(cfg_file)]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "config_error"
+    assert "Traceback" not in err
+    assert not out.exists()

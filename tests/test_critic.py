@@ -11,7 +11,7 @@ from safeadp.critic import (BarrierMode, LearningConfig, bellman_error,
                             critic_derivatives, excitation_level,
                             extrapolation_terms, quadratic_basis_2d,
                             saturated_policy, saturation_penalty,
-                            value_estimate, _saturation_penalty_preact)
+                            _saturation_penalty_preact)
 from safeadp.safety import BarrierDomainError, parabola_interior
 
 BASIS = quadratic_basis_2d()
@@ -112,19 +112,6 @@ def test_penalty_preactivation_form_consistent(rng):
 
 
 # ---------------------------------------------------------------- value / policy
-
-def test_value_estimate_origin_and_linearity(rng):
-    w = rng.normal(size=6)
-    assert value_estimate(BASIS, SPEC1, ROBUST, np.zeros(3), w) == pytest.approx(0.0)
-    zeta = np.array([0.2, -0.3, 0.5])
-    b_only = value_estimate(BASIS, SPEC1, ROBUST, zeta, np.zeros(6))
-    assert b_only == pytest.approx(sa.barrier_cost(SPEC1, zeta))
-    a, b = rng.normal(size=6), rng.normal(size=6)
-    lhs = value_estimate(BASIS, SPEC1, ROBUST, zeta, a + b)
-    rhs = (value_estimate(BASIS, SPEC1, ROBUST, zeta, a)
-           + float(b @ BASIS.phi(zeta)))
-    assert lhs == pytest.approx(rhs, rel=1e-12)
-
 
 def test_policy_zero_at_origin(study_model, rng):
     cfg = _learn()

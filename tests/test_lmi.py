@@ -154,24 +154,12 @@ def test_synthesize_hopeless_gap_reports_infeasible():
     assert not cert.feasible
 
 
-def test_synthesize_warm_start_returns_unchanged():
-    problem = _zero_gap_problem(-3.0 * np.eye(2), alpha=0.1)
-    guess = {"P": np.eye(2), "R_lmi": np.zeros((2, 1)),
-             "l1": np.zeros((2, 1)), "l2": np.zeros((2, 1))}
-    P, l1, l2, l3, cert = synthesize_gains(problem, initial_guess=guess,
-                                           search=SearchParams(budget=500))
-    assert cert.feasible
-    assert np.array_equal(P, np.eye(2))
-    assert np.array_equal(l1, np.zeros((2, 1)))
-    assert np.array_equal(l3, np.zeros((2, 1)))
-
-
 def test_certificate_json_roundtrip():
     problem = _zero_gap_problem(-3.0 * np.eye(2))
     cert = verify_gains(problem, np.eye(2), np.zeros((2, 1)),
                         np.zeros((2, 1)), np.zeros((2, 1)))
     import json
-    payload = json.loads(cert.to_json())
+    payload = json.loads(json.dumps(cert.to_json_dict()))
     assert payload["feasible"] is True
     assert "max_eigenvalue" in payload
 
@@ -191,8 +179,7 @@ def test_observer_error_contraction_with_feasible_gains(rng):
             np.array([[0.0], [1.0]]), np.asarray(x).shape[:-1] + (2, 1)).copy(),
         C=C_ROW, Kf1=A, Kf2=A, Kg1=np.zeros((2, 2)), Kg2=np.zeros((2, 2)),
         u_bar=5.0,
-        domain=sa.DomainSet(kind="box", center=np.zeros(2),
-                            halfwidths=np.full(2, 50.0)))
+        domain=sa.DomainSet(center=np.zeros(2), halfwidths=np.full(2, 50.0)))
     gains = sa.ObserverGains(P=P, l1=l1, l2=l2, l3=l3, alpha=0.5, eps0=1.0)
 
     dt = 1e-3

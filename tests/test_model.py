@@ -93,8 +93,4 @@ def test_audit_detects_bad_bounds():
 
 def test_domain_validation():
     with pytest.raises(ValueError):
-        DomainSet(kind="box", center=[0, 0], halfwidths=[1, -1])
-    with pytest.raises(ValueError):
-        DomainSet(kind="ball", center=[0, 0], radius=0.0)
-    with pytest.raises(ValueError):
-        DomainSet(kind="pentagon", center=[0, 0], radius=1.0)
+        DomainSet(center=[0, 0], halfwidths=[1, -1])

@@ -6,7 +6,7 @@ from safeadp.observer import ObserverGains
 from safeadp.safety import (BarrierDomainError, barrier_cost,
                             barrier_cost_gradient, barrier_value_and_gradient,
                             circular_obstacle, h_eval, lipschitz_audit,
-                            monitor_safety, parabola_interior, robust_margin)
+                            monitor_safety, parabola_interior)
 
 STUDY1_P = np.array([[0.27222, 0.15875], [0.15875, 0.40954]])
 SPEC1 = parabola_interior(kappa=0.01, ell=0.1)
@@ -28,19 +28,6 @@ def test_h_values_keep_in_set():
 def test_h_values_obstacle():
     assert h_eval(SPEC2, [-0.5, 0.6]) == pytest.approx(-0.04)
     assert h_eval(SPEC2, [-0.5, 0.8]) == pytest.approx(0.0)
-
-
-def test_robust_margin_limits():
-    # decays to plain h, never exceeds it
-    assert robust_margin(SPEC1, GAINS1, [0.0, 0.0], 1e3) == pytest.approx(1.0)
-    for t in (0.0, 0.3, 2.0):
-        assert robust_margin(SPEC1, GAINS1, [0.2, 0.4], t) <= h_eval(SPEC1, [0.2, 0.4])
-
-
-def test_robust_margin_initial_value():
-    val = robust_margin(SPEC1, GAINS1, [0.0, 0.0], 0.0)
-    assert val == pytest.approx(1.0 - 0.1 * GAINS1.chi, rel=1e-12)
-    assert val == pytest.approx(0.5627, abs=5e-4)
 
 
 def test_barrier_cost_zero_at_origin():
@@ -139,7 +126,7 @@ def test_barrier_nonnegative_and_recentered(rng):
 
 
 def test_lipschitz_audit_flags_small_ell():
-    box = DomainSet(kind="box", center=np.zeros(2), halfwidths=np.full(2, 3.0))
+    box = DomainSet(center=np.zeros(2), halfwidths=np.full(2, 3.0))
     report = lipschitz_audit(SPEC1, box, n_pairs=500, seed=1)
     assert not report["ok"]                 # 0.1 is far below the true slope
     generous = parabola_interior(kappa=0.01, ell=10.0)

@@ -28,14 +28,12 @@ def _problem(x0=(0.1, 0.1), x_hat0=None, eps0=2.5, mode="none", spec=None,
                            R_u=np.array([[1.0]]), Q=np.eye(2),
                            points=np.array(points),
                            point_envelope=point_envelope)
-    sim_cfg = SimConfig(dt=dt, T=T, x0=np.array(x0, float),
-                        x_hat0=np.array(x_hat0 if x_hat0 is not None else x0,
-                                        float),
-                        Wc0=np.array(Wc0, float), Gamma0=np.eye(6),
-                        controller_mode=mode, monitor_action=monitor_action,
-                        observer_enabled=observer)
+    sim_cfg = SimConfig(dt=dt, T=T, x0=x0,
+                        x_hat0=x_hat0 if x_hat0 is not None else x0,
+                        Wc0=Wc0, Gamma0=np.eye(6), controller_mode=mode,
+                        monitor_action=monitor_action)
     return ControlProblem(model=model, gains=gains, basis=BASIS, learn=learn,
-                          spec=spec, sim=sim_cfg)
+                          spec=spec, sim=sim_cfg, observer_enabled=observer)
 
 
 def test_fixed_point_step():
@@ -43,9 +41,9 @@ def test_fixed_point_step():
     # derivative vanishes except the forgetting-factor growth of the gain
     prob = _problem(x0=(0.0, 0.0), eps0=1e-12, points=((0.0, 0.0),))
     W0 = np.array([0.5, 1.0, 0.8, 0.1, 0.1, 0.1])
-    x, xh, W, G, _ = _rk4_step(_make_rhs(prob), prob.sim.dt,
-                               prob.sim.gain_floor, 0.0, np.zeros(2),
-                               np.zeros(2), W0.copy(), np.eye(6))
+    x, xh, W, G, _, _ = _rk4_step(_make_rhs(prob), prob.sim.dt, 0.0,
+                                  np.zeros(2), np.zeros(2), W0.copy(),
+                                  np.eye(6))
     assert np.allclose(x, 0.0, atol=1e-12)
     assert np.allclose(xh, 0.0, atol=1e-12)
     assert np.allclose(W, W0, atol=1e-12)
@@ -130,10 +128,17 @@ def test_safety_event_recorded_in_none_mode():
 
 def test_gain_floor_utility():
     bad = np.array([[1.0, 0.5], [0.2, -2.0]])
-    fixed, asym = _floor_gain(bad, 1e-8)
+    fixed, asym, ev = _floor_gain(bad)
     assert asym == pytest.approx(0.3)
     assert np.allclose(fixed, fixed.T)
     assert np.linalg.eigvalsh(fixed)[0] >= 0.99e-8
+    # the returned eigenvalues are those of the returned gain, bit for bit,
+    # on the clipping path and on the pass-through path
+    assert np.array_equal(ev, np.linalg.eigvalsh(fixed))
+    good = np.array([[2.0, 0.3], [0.1, 1.0]])
+    kept, _, ev = _floor_gain(good)
+    assert np.array_equal(kept, 0.5 * (good + good.T))
+    assert np.array_equal(ev, np.linalg.eigvalsh(kept))
 
 
 def test_observer_disabled_tracks_state_exactly():
@@ -164,6 +169,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(dt=1e-2, T=1.0, x0=np.zeros(2), x_hat0=np.zeros(2),
                   Wc0=np.zeros(6), Gamma0=np.eye(6), controller_mode="qp")
+    with pytest.raises(ValueError):
+        SimConfig(dt=1e-2, T=1.0, Gamma0="eye")
 
 
 # ---------------------------------------------------------------- evaluation errors
