@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import lmi
-from .config import ConfigError, RunConfig, build_problem, load_config
+from .config import (ConfigError, RunConfig, _invalid, build_problem,
+                     load_config)
 from .model import audit_jacobian_bounds
 from .presets import PRESET_NAMES, preset
 from .safety import lipschitz_audit
@@ -140,8 +141,9 @@ def cmd_verify_lmi(args) -> int:
 
 def cmd_synthesize(args) -> int:
     cfg = _load_run_config(args)
-    model = cfg.model.build()
-    problem_lmi = lmi.LmiProblem.from_model(model, cfg.observer.alpha)
+    with _invalid("observer"):
+        problem_lmi = lmi.LmiProblem.from_model(cfg.model.build(),
+                                                cfg.observer.alpha)
     params = lmi.SearchParams(budget=args.budget, step=args.step,
                               seed=args.seed, tol=args.tol)
     P, l1, l2, l3, cert = lmi.synthesize_gains(problem_lmi, search=params,
@@ -171,6 +173,8 @@ def cmd_presets(args) -> int:
 
 
 def cmd_audit_bounds(args) -> int:
+    if args.grid < 2:
+        raise ConfigError(f"--grid must be at least 2, got {args.grid}")
     cfg = _load_run_config(args)
     model = cfg.model.build()
     report = audit_jacobian_bounds(model, n_grid=args.grid, tol=args.tol)

@@ -15,6 +15,7 @@ gated by `verify_gains`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import asdict, dataclass, field
 
@@ -24,7 +25,8 @@ from .model import SystemModel
 
 FEASIBILITY_TOL = 1e-9
 VERIFY_MODES = ("theta_identity", "all_vertices")
-MAX_VERTEX_DIM = 4          # all_vertices enumerates 2^(n^2) matrices
+# all_vertices assembles 2^(n^2) matrices in one stack: at n = 4 that is
+MAX_VERTEX_DIM = 4      # 2^16 matrices of 8 x 8, about 32 MiB per temporary
 
 
 @dataclass(frozen=True)
@@ -60,22 +62,26 @@ class LmiProblem:
     def q(self) -> int:
         return self.C.shape[0]
 
-    def theta_vertices(self) -> list[np.ndarray]:
-        """All 2^(n^2) zero-one matrices (vertices of the parameter cube)."""
-        n = self.n
-        if n > MAX_VERTEX_DIM:
-            raise ValueError(
-                f"vertex enumeration needs 2^{n * n} matrices for n = {n}; "
-                f"it is limited to n <= {MAX_VERTEX_DIM}")
-        verts = []
-        for bits in itertools.product((0.0, 1.0), repeat=n * n):
-            verts.append(np.array(bits, float).reshape(n, n))
-        return verts
+    def theta_vertices(self) -> np.ndarray:
+        """Read-only stack of the 2^(n^2) zero-one vertex matrices."""
+        return _vertex_stack(self.n)
 
     @classmethod
     def from_model(cls, model: SystemModel, alpha: float) -> "LmiProblem":
         return cls(C=model.C, Kf1=model.Kf1, Kf2=model.Kf2,
                    Kg1=model.Kg1, Kg2=model.Kg2, alpha=alpha)
+
+
+@functools.lru_cache(maxsize=MAX_VERTEX_DIM)
+def _vertex_stack(n: int) -> np.ndarray:
+    if n > MAX_VERTEX_DIM:
+        raise ValueError(
+            f"vertex enumeration needs 2^{n * n} matrices for n = {n}; "
+            f"it is limited to n <= {MAX_VERTEX_DIM}")
+    stack = np.reshape(list(itertools.product((0.0, 1.0), repeat=n * n)),
+                       (-1, n, n))
+    stack.flags.writeable = False
+    return stack
 
 
 @dataclass
@@ -97,14 +103,15 @@ class LmiCertificate:
 
 
 def assemble_lmi_matrix(problem: LmiProblem, P, R_lmi, l1, l2, theta) -> np.ndarray:
-    """Symmetric 2n x 2n verification matrix for one theta."""
+    """Symmetric 2n x 2n verification matrix for each n x n theta of a stack
+    of shape (..., n, n); the result has shape (..., 2n, 2n)."""
     n = problem.n
     P = np.asarray(P, float)
     R = np.asarray(R_lmi, float).reshape(n, problem.q)
     l1 = np.asarray(l1, float).reshape(n, problem.q)
     l2 = np.asarray(l2, float).reshape(n, problem.q)
     theta = np.asarray(theta, float)
-    if P.shape != (n, n) or theta.shape != (n, n):
+    if P.shape != (n, n) or theta.shape[-2:] != (n, n):
         raise ValueError("dimension mismatch in verification matrix assembly")
 
     A_theta = problem.A @ theta
@@ -113,36 +120,35 @@ def assemble_lmi_matrix(problem: LmiProblem, P, R_lmi, l1, l2, theta) -> np.ndar
     gap_g = problem.Kg2 - problem.Kg1
     eye = np.eye(n)
 
-    top_left = (A_theta.T @ P + P @ A_theta
-                - C_theta.T @ R.T - R @ C_theta
+    top_left = (np.swapaxes(A_theta, -1, -2) @ P + P @ A_theta
+                - np.swapaxes(C_theta, -1, -2) @ R.T - R @ C_theta
                 + 2.0 * problem.alpha * P)
     lower_off = (np.sqrt(2.0) * P
                  + gap_f @ (eye - l1 @ problem.C)
                  + gap_g @ (eye - l2 @ problem.C))
-    M = np.block([[top_left, lower_off.T],
-                  [lower_off, -3.0 * eye]])
-    return 0.5 * (M + M.T)
+    # only the top-left block needs symmetrizing: 0.5 * (x + x) == x exactly
+    M = np.empty(theta.shape[:-2] + (2 * n, 2 * n))
+    M[..., :n, :n] = 0.5 * (top_left + np.swapaxes(top_left, -1, -2))
+    M[..., :n, n:] = lower_off.T
+    M[..., n:, :n] = lower_off
+    M[..., n:, n:] = -3.0 * eye
+    return M
 
 
 def _top_eigenvalues(problem: LmiProblem, P, R_lmi, l1, l2, mode: str):
-    """(thetas, top eigenvalue per theta, |l1 C|, |l2 C|) for one mode.
-
-    mode "theta_identity" checks the single matrix at theta = I; mode
-    "all_vertices" checks every vertex of the parameter cube, which covers the
-    whole cube by affinity and convexity.
-    """
+    """(thetas, top eigenvalue per theta, |l1 C|, |l2 C|) for one mode."""
     if mode not in VERIFY_MODES:
         raise ValueError(f"unknown verification mode {mode!r}")
     n = problem.n
     l1 = np.asarray(l1, float).reshape(n, problem.q)
     l2 = np.asarray(l2, float).reshape(n, problem.q)
-    norm1 = float(np.linalg.norm(l1 @ problem.C, 2))
-    norm2 = float(np.linalg.norm(l2 @ problem.C, 2))
-    thetas = ([np.eye(n)] if mode == "theta_identity"
+    # the spectral norm is the largest singular value: one SVD for the pair
+    norm1, norm2 = np.linalg.svd(np.stack([l1 @ problem.C, l2 @ problem.C]),
+                                 compute_uv=False).max(axis=-1).tolist()
+    thetas = (np.eye(n)[None] if mode == "theta_identity"
               else problem.theta_vertices())
-    eigs = [float(np.linalg.eigvalsh(
-        assemble_lmi_matrix(problem, P, R_lmi, l1, l2, th))[-1])
-        for th in thetas]
+    eigs = np.linalg.eigvalsh(
+        assemble_lmi_matrix(problem, P, R_lmi, l1, l2, thetas))[:, -1].tolist()
     return thetas, eigs, norm1, norm2
 
 

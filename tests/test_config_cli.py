@@ -302,6 +302,11 @@ INVALID_VALUES = [
     ("run", None, ["--preset", "study1", "--dt", "-1"]),
     ("synthesize", ("model", "u_bar", -1.0), ["--budget", "5"]),
     ("audit-bounds", ("model", "box_halfwidth", 0.0), []),
+    # synthesize builds its LMI problem outside the config sections, and an
+    # audit grid needs two samples per axis to span the box
+    ("synthesize", ("observer", "alpha", -1.0), ["--budget", "5"]),
+    ("audit-bounds", None, ["--preset", "study1", "--grid", "0"]),
+    ("audit-bounds", None, ["--preset", "study1", "--grid", "1"]),
 ]
 
 

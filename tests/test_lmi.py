@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import safeadp as sa
 from safeadp.lmi import (MAX_VERTEX_DIM, LmiProblem, SearchParams,
@@ -194,3 +198,115 @@ def test_observer_error_contraction_with_feasible_gains(rng):
         x = x + dt * fx
         xh = xh + dt * fh
         assert V(x - xh) <= v_before * np.exp(-2 * gains.alpha * dt) * (1 + 1e-4)
+
+
+# ------------------------------------------- frozen per-theta implementation
+# The verification matrix as it was assembled before the stacked kernel: one
+# theta at a time with np.block, one eigvalsh per theta and one SVD norm per
+# injection gain.  The stacked kernel must reproduce it bit for bit.
+
+def _frozen_assemble(problem, P, R_lmi, l1, l2, theta):
+    n = problem.n
+    P = np.asarray(P, float)
+    R = np.asarray(R_lmi, float).reshape(n, problem.q)
+    l1 = np.asarray(l1, float).reshape(n, problem.q)
+    l2 = np.asarray(l2, float).reshape(n, problem.q)
+    theta = np.asarray(theta, float)
+    A_theta = problem.A @ theta
+    C_theta = problem.C @ theta
+    gap_f = problem.Kf2 - problem.Kf1
+    gap_g = problem.Kg2 - problem.Kg1
+    eye = np.eye(n)
+    top_left = (A_theta.T @ P + P @ A_theta
+                - C_theta.T @ R.T - R @ C_theta
+                + 2.0 * problem.alpha * P)
+    lower_off = (np.sqrt(2.0) * P
+                 + gap_f @ (eye - l1 @ problem.C)
+                 + gap_g @ (eye - l2 @ problem.C))
+    M = np.block([[top_left, lower_off.T],
+                  [lower_off, -3.0 * eye]])
+    return 0.5 * (M + M.T)
+
+
+def _frozen_verify(problem, P, R_lmi, l1, l2, mode):
+    """(eigenvalues, max, worst theta, |l1 C|, |l2 C|) by the per-theta loop."""
+    n = problem.n
+    l1 = np.asarray(l1, float).reshape(n, problem.q)
+    l2 = np.asarray(l2, float).reshape(n, problem.q)
+    norm1 = float(np.linalg.norm(l1 @ problem.C, 2))
+    norm2 = float(np.linalg.norm(l2 @ problem.C, 2))
+    thetas = ([np.eye(n)] if mode == "theta_identity" else
+              [np.array(bits, float).reshape(n, n)
+               for bits in itertools.product((0.0, 1.0), repeat=n * n)])
+    eigs = [float(np.linalg.eigvalsh(
+        _frozen_assemble(problem, P, R_lmi, l1, l2, th))[-1]) for th in thetas]
+    worst = int(np.argmax(eigs))
+    return eigs, eigs[worst], thetas[worst], norm1, norm2
+
+
+def _random_instance(n, q, seed):
+    rng = np.random.default_rng(seed)
+    Kf1 = rng.normal(size=(n, n))
+    Kg1 = rng.normal(size=(n, n))
+    problem = LmiProblem(C=rng.normal(size=(q, n)), Kf1=Kf1,
+                         Kf2=Kf1 + np.abs(rng.normal(size=(n, n))), Kg1=Kg1,
+                         Kg2=Kg1 + np.abs(rng.normal(size=(n, n))),
+                         alpha=rng.uniform(0, 3))
+    P = rng.normal(size=(n, n))
+    P = P @ P.T + 0.1 * np.eye(n)
+    R, l1, l2 = (rng.normal(size=(n, q)) for _ in range(3))
+    return rng, problem, P, R, l1, l2
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.sampled_from([1, 2, 3]), q=st.sampled_from([1, 2]),
+       count=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+def test_stacked_assembly_matches_per_theta_blocks(n, q, count, seed):
+    rng, problem, P, R, l1, l2 = _random_instance(n, q, seed)
+    thetas = rng.uniform(0, 1, (count, n, n))
+    stacked = assemble_lmi_matrix(problem, P, R, l1, l2, thetas)
+    assert stacked.shape == (count, 2 * n, 2 * n)
+    for theta, M in zip(thetas, stacked):
+        frozen = _frozen_assemble(problem, P, R, l1, l2, theta)
+        assert M.tobytes() == frozen.tobytes()
+        single = assemble_lmi_matrix(problem, P, R, l1, l2, theta)
+        assert single.tobytes() == frozen.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 2, 3]), q=st.sampled_from([1, 2]),
+       mode=st.sampled_from(["theta_identity", "all_vertices"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_verify_matches_per_theta_loop(n, q, mode, seed):
+    _, problem, P, R, l1, l2 = _random_instance(n, q, seed)
+    eigs, max_eig, worst, norm1, norm2 = _frozen_verify(problem, P, R, l1, l2,
+                                                        mode)
+    cert = verify_gains(problem, P, R, l1, l2, mode=mode)
+    if mode == "all_vertices":
+        assert _hex(cert.vertex_eigenvalues) == _hex(eigs)
+    else:
+        assert cert.vertex_eigenvalues is None
+    assert _hex([cert.max_eigenvalue, cert.norm_l1C, cert.norm_l2C]) == \
+        _hex([max_eig, norm1, norm2])
+    assert np.asarray(cert.worst_theta).tobytes() == worst.tobytes()
+
+
+def test_vertex_stack_is_not_shared_mutable_state():
+    # the vertex stack is built once per n and reused; a certificate must not
+    # be able to change what the next verification checks
+    A = np.array([[-1.0, 2.0], [0.5, -4.0]])
+    problem = _zero_gap_problem(A, alpha=0.3)
+    args = (problem, np.eye(2), np.zeros((2, 1)), np.zeros((2, 1)),
+            np.zeros((2, 1)))
+    first = verify_gains(*args, mode="all_vertices")
+    with pytest.raises(ValueError):
+        first.worst_theta[...] = 0.5
+    with pytest.raises(ValueError):
+        problem.theta_vertices()[0, 0, 0] = 0.5
+    again = verify_gains(*args, mode="all_vertices")
+    assert _hex(again.vertex_eigenvalues) == _hex(first.vertex_eigenvalues)
+    assert again.worst_theta.tobytes() == first.worst_theta.tobytes()
