@@ -2,8 +2,8 @@
 barrier cost, saturated critic-only adaptive controller, and the simulation
 harness that ties them together."""
 
-from .critic import (Basis, BarrierMode, LearningConfig,
-                     bellman_error, critic_derivatives, excitation_level,
+from .critic import (Basis, LearningConfig, bellman_error,
+                     critic_derivatives, excitation_level,
                      extrapolation_terms, quadratic_basis_2d,
                      saturated_policy, saturation_penalty)
 from .config import RunConfig, build_problem, load_config

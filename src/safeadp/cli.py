@@ -29,16 +29,20 @@ EXIT_RUN_FAILED = 1
 EXIT_USAGE = 2
 
 
+def _preset(name: str) -> RunConfig:
+    if name not in PRESET_NAMES:
+        raise ConfigError(f"unknown preset {name!r}; "
+                          f"known: {', '.join(PRESET_NAMES)}")
+    return preset(name)
+
+
 def _load_run_config(args) -> RunConfig:
     if args.config and args.preset:
         raise ConfigError("pass either --config or --preset, not both")
     if args.config:
         cfg = load_config(args.config)
     elif args.preset:
-        if args.preset not in PRESET_NAMES:
-            raise ConfigError(f"unknown preset {args.preset!r}; "
-                              f"known: {', '.join(PRESET_NAMES)}")
-        cfg = preset(args.preset)
+        cfg = _preset(args.preset)
     else:
         raise ConfigError("a --config file or a --preset name is required")
     overrides = {}
@@ -164,7 +168,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_presets(args) -> int:
     if args.name:
-        cfg = preset(args.name)
+        cfg = _preset(args.name)
         print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True, default=str))
     else:
         for name in PRESET_NAMES:
@@ -246,7 +250,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, KeyError) as exc:
+    except ConfigError as exc:
         print(json.dumps({"error": "config_error", "reason": str(exc)}),
               file=sys.stderr)
         return EXIT_USAGE

@@ -1,18 +1,20 @@
 """Run configuration: strict schema, JSON ingestion, problem assembly.
 
 A run is described by one JSON document with five sections (model, observer,
-safety, learning, sim).  Unknown keys are rejected before any computation.
-Observer gains are either explicit matrices or the string "synthesize", in
-which case the gain search runs at build time and its certificate is attached.
+safety, learning, sim), each a dataclass whose fields are its keys; unknown
+and missing keys are rejected before any computation.  Observer gains are
+either explicit matrices or the string "synthesize", in which case the gain
+search runs at build time and its certificate is attached.
 """
 
 from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import (asdict, dataclass, field, fields, is_dataclass,
-                         replace)
-from typing import Any
+from dataclasses import (MISSING, asdict, dataclass, field, fields,
+                         is_dataclass, replace)
+from functools import cache
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -40,32 +42,52 @@ def _invalid(ctx: str):
         raise ConfigError(f"{ctx}: {exc}") from exc
 
 
-def _check_keys(section: dict, allowed, required: set[str], ctx: str):
-    """Reject unknown and missing keys; allowed is a set of names or a
-    dataclass, whose field names are then the allowed keys."""
-    if is_dataclass(allowed):
-        allowed = {f.name for f in fields(allowed)}
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"{ctx}: unknown keys {sorted(unknown)}")
-    missing = required - set(section)
-    if missing:
-        raise ConfigError(f"{ctx}: missing keys {sorted(missing)}")
+_field_types = cache(get_type_hints)
+
+
+def _tuples(value):
+    """value with every JSON list in it turned into a tuple."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
+def _parse(cls, obj, ctx: str):
+    """The dataclass cls from the JSON object obj, named ctx in errors ("" is
+    the whole document).  Its fields are the allowed keys, those without a
+    default the required ones; an object under a dataclass-typed field is
+    parsed into it, lists become tuples, and cls checks the values."""
+    where = ctx or "config"
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object")
+    keys = {f.name: f for f in fields(cls)}
+    required = {name for name, f in keys.items()
+                if f.default is MISSING and f.default_factory is MISSING}
+    for problem, names in (("unknown", set(obj) - set(keys)),
+                           ("missing", required - set(obj))):
+        if names:
+            raise ConfigError(f"{where}: {problem} keys {sorted(names)}")
+    types, kwargs = _field_types(cls), {}
+    for name in (name for name in keys if name in obj):
+        value, hint = obj[name], types[name]
+        nested = next((t for t in (hint, *get_args(hint)) if is_dataclass(t)),
+                      None)
+        if nested is not None and (hint is nested or isinstance(value, dict)):
+            kwargs[name] = _parse(nested, value, f"{ctx}.{name}".lstrip("."))
+        else:
+            kwargs[name] = _tuples(value)
+    with _invalid(where):
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    name: str = "vamvoudakis2d"
+    name: str
     u_bar: float = 10.0
     box_halfwidth: float = 3.0
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        _check_keys(d, cls, {"name"}, "model")
-        if d["name"] not in MODEL_REGISTRY:
-            raise ConfigError(f"model: unknown model {d['name']!r}; "
-                              f"known: {sorted(MODEL_REGISTRY)}")
-        return cls(**d)
+    def __post_init__(self):
+        if self.name not in MODEL_REGISTRY:
+            raise ValueError(f"unknown model {self.name!r}; "
+                             f"known: {sorted(MODEL_REGISTRY)}")
 
     def build(self) -> SystemModel:
         with _invalid("model"):
@@ -74,68 +96,56 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
+class GainsConfig:
+    P: tuple
+    l1: tuple
+    l2: tuple
+    l3: tuple
+
+
+@dataclass(frozen=True)
 class ObserverConfig:
     alpha: float
     eps0: float
-    gains: Any = "synthesize"      # dict of matrices, or "synthesize"
+    gains: GainsConfig | str       # explicit matrices, or "synthesize"
     enabled: bool = True
-    synthesis: dict = field(default_factory=dict)
+    synthesis: dict = field(default_factory=dict)  # SearchParams and "mode"
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ObserverConfig":
-        _check_keys(d, cls, {"alpha", "eps0", "gains"}, "observer")
-        gains = d["gains"]
-        if isinstance(gains, dict):
-            _check_keys(gains, {"P", "l1", "l2", "l3"},
-                        {"P", "l1", "l2", "l3"}, "observer.gains")
-            d = dict(d)
-            d["gains"] = {
-                "P": tuple(tuple(float(v) for v in row)
-                           for row in np.atleast_2d(np.asarray(gains["P"], float))),
-                **{k: tuple(np.ravel(np.asarray(gains[k], float)).tolist())
-                   for k in ("l1", "l2", "l3")}}
-        elif gains != "synthesize":
-            raise ConfigError("observer.gains must be a matrix dict or 'synthesize'")
-        if "synthesis" in d:
-            _check_keys(d["synthesis"], {"budget", "step", "seed", "tol", "mode"},
-                        set(), "observer.synthesis")
-        return cls(**d)
+    def __post_init__(self):
+        if not (isinstance(self.gains, GainsConfig)
+                or self.gains == "synthesize"):
+            raise ValueError("gains must be a matrix dict or 'synthesize'")
+        allowed = {f.name for f in fields(lmi.SearchParams)} | {"mode"}
+        if not (isinstance(self.synthesis, dict)
+                and set(self.synthesis) <= allowed):
+            raise ValueError(f"synthesis takes only {sorted(allowed)}")
 
     def build(self, model: SystemModel):
         """Returns (ObserverGains, certificate-or-None)."""
         with _invalid("observer"):
-            if isinstance(self.gains, dict):
-                arrays = {k: np.array(v, float) for k, v in self.gains.items()}
-                return ObserverGains(**arrays, alpha=self.alpha,
+            if isinstance(self.gains, GainsConfig):
+                return ObserverGains(**asdict(self.gains), alpha=self.alpha,
                                      eps0=self.eps0), None
             problem = lmi.LmiProblem.from_model(model, self.alpha)
             synth = dict(self.synthesis)
             mode = synth.pop("mode", "theta_identity")
-            params = lmi.SearchParams(**synth) if synth else lmi.SearchParams()
-            P, l1, l2, l3, cert = lmi.synthesize_gains(problem, search=params,
-                                                       mode=mode)
-            g = ObserverGains(P=P, l1=l1, l2=l2, l3=l3,
-                              alpha=self.alpha, eps0=self.eps0)
-            return g, cert
+            P, l1, l2, l3, cert = lmi.synthesize_gains(
+                problem, search=lmi.SearchParams(**synth), mode=mode)
+            return ObserverGains(P=P, l1=l1, l2=l2, l3=l3, alpha=self.alpha,
+                                 eps0=self.eps0), cert
 
 
 @dataclass(frozen=True)
 class SafetyConfig:
-    kind: str = "none"             # parabola_interior | circular_obstacle | none
+    kind: str
     kappa: float = 1.0
     ell: float = 0.1
     center: tuple = (0.0, 0.0)
     radius: float = 0.2
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SafetyConfig":
-        _check_keys(d, cls, {"kind"}, "safety")
-        if d["kind"] not in ("parabola_interior", "circular_obstacle", "none"):
-            raise ConfigError(f"safety: unknown kind {d['kind']!r}")
-        if "center" in d:
-            d = dict(d)
-            d["center"] = tuple(d["center"])
-        return cls(**d)
+    def __post_init__(self):
+        if self.kind not in ("parabola_interior", "circular_obstacle", "none"):
+            raise ValueError(f"unknown kind {self.kind!r}")
 
     def build(self) -> SafetySpec | None:
         if self.kind == "none":
@@ -171,24 +181,16 @@ def grid_points(halfwidth: float, per_axis: int, repel_center=None,
 
 @dataclass(frozen=True)
 class PointsConfig:
-    kind: str = "grid"
+    kind: str                      # grid | explicit
     halfwidth: float = 0.5
     per_axis: int = 10
     repel_center: tuple | None = None
     repel_radius: float | None = None
     values: tuple = ()
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PointsConfig":
-        _check_keys(d, cls, {"kind"}, "learning.points")
-        d = dict(d)
-        if d.get("repel_center") is not None:
-            d["repel_center"] = tuple(d["repel_center"])
-        if "values" in d:
-            d["values"] = tuple(tuple(v) for v in d["values"])
-        if d["kind"] not in ("grid", "explicit"):
-            raise ConfigError("learning.points.kind must be 'grid' or 'explicit'")
-        return cls(**d)
+    def __post_init__(self):
+        if self.kind not in ("grid", "explicit"):
+            raise ValueError("kind must be 'grid' or 'explicit'")
 
     def build(self) -> np.ndarray:
         if self.kind == "explicit":
@@ -199,51 +201,20 @@ class PointsConfig:
 
 @dataclass(frozen=True)
 class LearningSettings:
-    k_c: float = 5.0
-    gamma_c: float = 1.0
-    beta: float = 0.01
-    R_u: tuple = ((1.0,),)
-    Q: tuple = ((1.0, 0.0), (0.0, 1.0))
-    points: PointsConfig = field(default_factory=PointsConfig)
+    k_c: float
+    gamma_c: float
+    beta: float
+    R_u: tuple
+    Q: tuple
+    points: PointsConfig
     point_envelope: str = "live"
     margin_floor: float = 1e-6
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "LearningSettings":
-        _check_keys(d, cls, {"k_c", "gamma_c", "beta", "R_u", "Q", "points"},
-                    "learning")
-        d = dict(d)
-        d["R_u"] = tuple(tuple(r) for r in d["R_u"])
-        d["Q"] = tuple(tuple(r) for r in d["Q"])
-        d["points"] = PointsConfig.from_dict(d["points"])
-        return cls(**d)
-
     def build(self, u_bar: float) -> LearningConfig:
+        """The fields are LearningConfig's, with the points built."""
         with _invalid("learning"):
-            return LearningConfig(k_c=self.k_c, gamma_c=self.gamma_c,
-                                  beta=self.beta, u_bar=u_bar,
-                                  R_u=np.array(self.R_u, float),
-                                  Q=np.array(self.Q, float),
-                                  points=self.points.build(),
-                                  point_envelope=self.point_envelope,
-                                  margin_floor=self.margin_floor)
-
-
-def _sim_from_dict(d: dict) -> SimConfig:
-    _check_keys(d, SimConfig, {"dt", "T", "x0", "x_hat0", "Wc0"}, "sim")
-    d = dict(d)
-    for key in ("x0", "x_hat0", "Wc0"):
-        d[key] = tuple(d[key])
-    if not isinstance(d.get("Gamma0", "identity"), str):
-        d["Gamma0"] = tuple(tuple(r) for r in d["Gamma0"])
-    return SimConfig(**d)
-
-
-_SECTIONS = {"model": ModelConfig.from_dict,
-             "observer": ObserverConfig.from_dict,
-             "safety": SafetyConfig.from_dict,
-             "learning": LearningSettings.from_dict,
-             "sim": _sim_from_dict}
+            return LearningConfig(**{**vars(self), "points": self.points.build(),
+                                     "u_bar": u_bar})
 
 
 @dataclass(frozen=True)
@@ -256,13 +227,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        with _invalid("config"):
-            _check_keys(d, cls, set(_SECTIONS), "config")
-        parts = {}
-        for name, parse in _SECTIONS.items():
-            with _invalid(name):
-                parts[name] = parse(d[name])
-        return cls(**parts)
+        return _parse(cls, d, "")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -281,12 +246,32 @@ def load_config(path) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
+def _check_shapes(config: RunConfig, n: int, m: int, L: int):
+    """Reject, before any gain synthesis runs, a vector or matrix that does
+    not fit the plant (n states, m inputs) or the basis (L weights)."""
+    sim, learning = config.sim, config.learning
+    with _invalid("learning.points"):
+        points = learning.points.build()
+    gamma0 = np.eye(L) if isinstance(sim.Gamma0, str) else sim.Gamma0
+    for key, value, want in (
+            ("sim.x0", sim.x0, (n,)), ("sim.x_hat0", sim.x_hat0, (n,)),
+            ("sim.Wc0", sim.Wc0, (L,)), ("sim.Gamma0", gamma0, (L, L)),
+            ("learning.R_u", learning.R_u, (m, m)),
+            ("learning.Q", learning.Q, (n, n)),
+            ("learning.points", points, (*np.shape(points)[:1], n))):
+        with _invalid(key):
+            shape = np.shape(np.asarray(value, float))
+        if shape != want:
+            raise ConfigError(f"{key}: shape {shape}, expected {want}")
+
+
 def build_problem(config: RunConfig):
     """Assemble the closed-loop problem.  Returns (problem, synth_certificate)."""
     model = config.model.build()
+    basis = quadratic_basis_2d()
+    _check_shapes(config, model.n, model.m, basis.L)
     gains, cert = config.observer.build(model)
     spec = config.safety.build()
-    basis = quadratic_basis_2d()
     learn = config.learning.build(u_bar=model.u_bar)
     problem = ControlProblem(model=model, gains=gains, basis=basis,
                              learn=learn, spec=spec, sim=config.sim,

@@ -49,28 +49,10 @@ def quadratic_basis_2d() -> Basis:
     return Basis(L=len(pairs), phi=phi, grad_phi=grad_phi)
 
 
-@dataclass(frozen=True)
-class BarrierMode:
-    """How the barrier enters cost and policy.
-
-    "robust": margin uses the live envelope component of the augmented state.
-    "plain":  margin ignores the envelope (uses h of the state alone).
-    "off":    no barrier terms anywhere.
-    """
-
-    kind: str = "robust"
-
-    def __post_init__(self):
-        if self.kind not in ("robust", "plain", "off"):
-            raise ValueError(f"unknown barrier mode {self.kind!r}")
-
-    @property
-    def active(self) -> bool:
-        return self.kind != "off"
-
-    @property
-    def use_envelope(self) -> bool:
-        return self.kind == "robust"
+# How the barrier enters cost and policy: "rlcbf" with the margin h(x) minus
+# ell times the live envelope component, "lcbf" with the margin h(x) alone,
+# "none" not at all.
+CONTROLLER_MODES = ("rlcbf", "lcbf", "none")
 
 
 @dataclass(frozen=True)
@@ -156,14 +138,14 @@ def _saturation_penalty_preact(config: LearningConfig, preact,
 # Value estimate, policy, Bellman error
 
 
-def _barrier_terms(spec, mode: BarrierMode, zeta, floor=None):
+def _barrier_terms(spec, mode: str, zeta, floor=None):
     zeta = np.asarray(zeta, float)
-    if spec is None or not mode.active:
+    if spec is None or mode == "none":
         val = np.zeros(zeta.shape[:-1])
         grad = np.zeros(zeta.shape[:-1] + (zeta.shape[-1],))
         return val, grad
     val, grad = barrier_value_and_gradient(spec, zeta,
-                                           use_envelope=mode.use_envelope,
+                                           use_envelope=mode == "rlcbf",
                                            floor=floor)
     return np.asarray(val, float), grad
 
@@ -183,8 +165,10 @@ class CriticEvaluator:
     """
 
     def __init__(self, model: SystemModel, basis: Basis,
-                 spec: SafetySpec | None, mode: BarrierMode,
+                 spec: SafetySpec | None, mode: str,
                  config: LearningConfig, alpha: float | None = None):
+        if mode not in CONTROLLER_MODES:
+            raise ValueError(f"unknown controller mode {mode!r}")
         self.model, self.basis, self.spec, self.mode = model, basis, spec, mode
         self.config, self.alpha = config, alpha
         self._env = None            # envelope component of the cached points
@@ -244,7 +228,7 @@ class CriticEvaluator:
             qcost = np.einsum("ni,ij,nj->n", pts, cfg.Q, pts)
         else:
             _, Bval, gB, G, F, qcost = self._points
-            if self.mode.use_envelope:
+            if self.mode == "rlcbf":
                 Bval, gB = _barrier_terms(self.spec, self.mode, zk,
                                           floor=cfg.margin_floor)
             F[:, -1] = -self.alpha * env
@@ -268,14 +252,14 @@ class CriticEvaluator:
 
 
 def saturated_policy(model: SystemModel, basis: Basis, spec: SafetySpec | None,
-                     mode: BarrierMode, config: LearningConfig, zeta,
+                     mode: str, config: LearningConfig, zeta,
                      weights) -> np.ndarray:
     """Feedback -u_bar * tanh(preactivation); strictly inside the box."""
     return CriticEvaluator(model, basis, spec, mode, config).at(zeta, weights)[0]
 
 
 def bellman_error(model: SystemModel, basis: Basis, spec: SafetySpec | None,
-                  mode: BarrierMode, config: LearningConfig, zeta, weights,
+                  mode: str, config: LearningConfig, zeta, weights,
                   alpha: float, floor: float | None = None) -> float:
     """Residual of the approximate optimality equation at augmented state(s)."""
     _, out = CriticEvaluator(model, basis, spec, mode, config, alpha).at(
@@ -284,7 +268,7 @@ def bellman_error(model: SystemModel, basis: Basis, spec: SafetySpec | None,
 
 
 def extrapolation_terms(model: SystemModel, basis: Basis,
-                        spec: SafetySpec | None, mode: BarrierMode,
+                        spec: SafetySpec | None, mode: str,
                         config: LearningConfig, envelope_now: float, weights,
                         alpha: float):
     """(omega, rho, delta) at the extrapolation points; see

@@ -8,8 +8,8 @@ study only in the controller mode.
 
 from __future__ import annotations
 
-from .config import (LearningSettings, ModelConfig, ObserverConfig,
-                     PointsConfig, RunConfig, SafetyConfig)
+from .config import (GainsConfig, LearningSettings, ModelConfig,
+                     ObserverConfig, PointsConfig, RunConfig, SafetyConfig)
 from .sim import SimConfig
 
 # Lyapunov matrices and injection gains for the two studies.  The correction
@@ -34,8 +34,8 @@ def _study1() -> RunConfig:
         model=ModelConfig(name="vamvoudakis2d", u_bar=10.0, box_halfwidth=3.0),
         observer=ObserverConfig(
             alpha=2.0, eps0=2.5,
-            gains={"P": STUDY1_P, "l1": STUDY1_L1, "l2": STUDY1_L2,
-                   "l3": TUNED_L3}),
+            gains=GainsConfig(P=STUDY1_P, l1=STUDY1_L1, l2=STUDY1_L2,
+                              l3=TUNED_L3)),
         safety=SafetyConfig(kind="parabola_interior", kappa=0.01, ell=0.1),
         learning=LearningSettings(
             k_c=5.0, gamma_c=1.0, beta=0.01,
@@ -53,8 +53,8 @@ def _study2() -> RunConfig:
         model=ModelConfig(name="vamvoudakis2d", u_bar=10.0, box_halfwidth=2.0),
         observer=ObserverConfig(
             alpha=2.0, eps0=0.7,
-            gains={"P": STUDY2_P, "l1": STUDY2_L1, "l2": STUDY2_L2,
-                   "l3": TUNED_L3}),
+            gains=GainsConfig(P=STUDY2_P, l1=STUDY2_L1, l2=STUDY2_L2,
+                              l3=TUNED_L3)),
         safety=SafetyConfig(kind="circular_obstacle", kappa=2.5, ell=0.15,
                             center=center, radius=0.2),
         learning=LearningSettings(
@@ -80,8 +80,8 @@ def _lq_oracle() -> RunConfig:
         model=ModelConfig(name="vamvoudakis2d", u_bar=100.0, box_halfwidth=3.0),
         observer=ObserverConfig(
             alpha=2.0, eps0=2.5, enabled=False,
-            gains={"P": STUDY1_P, "l1": (0.0, 0.0), "l2": (0.0, 0.0),
-                   "l3": (0.0, 0.0)}),
+            gains=GainsConfig(P=STUDY1_P, l1=(0.0, 0.0), l2=(0.0, 0.0),
+                              l3=(0.0, 0.0))),
         safety=SafetyConfig(kind="none"),
         learning=LearningSettings(
             k_c=5.0, gamma_c=1.0, beta=0.01,
@@ -106,7 +106,6 @@ PRESET_NAMES = tuple(_BUILDERS)
 
 
 def preset(name: str) -> RunConfig:
-    """Fully populated run configuration for a named experiment."""
-    if name not in _BUILDERS:
-        raise KeyError(f"unknown preset {name!r}; known: {PRESET_NAMES}")
+    """Fully populated run configuration for a named experiment; an unknown
+    name raises KeyError."""
     return _BUILDERS[name]()

@@ -14,15 +14,12 @@ from typing import Any
 
 import numpy as np
 
-from .critic import (Basis, BarrierMode, CriticEvaluator, LearningConfig,
-                     critic_derivatives, excitation_level)
+from .critic import (CONTROLLER_MODES, Basis, CriticEvaluator,
+                     LearningConfig, critic_derivatives, excitation_level)
 from .model import ModelEvaluationError, SystemModel, drift, effectiveness
 from .observer import (ObserverEvaluationError, ObserverGains, error_envelope,
                        observer_rhs)
 from .safety import BarrierDomainError, SafetySpec, monitor_safety
-
-CONTROLLER_MODES = ("rlcbf", "lcbf", "none")
-_MODE_MAP = {"rlcbf": "robust", "lcbf": "plain", "none": "off"}
 
 EPS0_SLACK = 1.02   # relative slack on the initial-error bound check
 GAIN_FLOOR = 1e-8   # smallest eigenvalue the critic gain matrix may reach
@@ -34,11 +31,11 @@ class SimConfig:
     are kept as given and `run` converts them; Gamma0 is a matrix or
     "identity" (the identity of the weight size)."""
 
-    dt: float = 1e-3
-    T: float = 10.0
-    x0: Any = (0.0, 0.0)
-    x_hat0: Any = (0.0, 0.0)
-    Wc0: Any = (0.0,) * 6
+    dt: float
+    T: float
+    x0: Any
+    x_hat0: Any
+    Wc0: Any
     Gamma0: Any = "identity"
     controller_mode: str = "rlcbf"
     monitor_action: str = "warn"
@@ -75,9 +72,6 @@ class ControlProblem:
     spec: SafetySpec | None
     sim: SimConfig
     observer_enabled: bool = True
-
-    def barrier_mode(self) -> BarrierMode:
-        return BarrierMode(_MODE_MAP[self.sim.controller_mode])
 
 
 class TrajectoryLog:
@@ -191,7 +185,7 @@ def _make_rhs(problem: ControlProblem):
     model, gains, learn = problem.model, problem.gains, problem.learn
     observer_enabled = problem.observer_enabled
     critic = CriticEvaluator(model, problem.basis, problem.spec,
-                             problem.barrier_mode(), learn, gains.alpha)
+                             problem.sim.controller_mode, learn, gains.alpha)
 
     def rhs(tau, x, xh, W, G, with_delta=False):
         env = error_envelope(gains, tau)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -94,11 +95,66 @@ def test_unknown_keys_rejected():
         RunConfig.from_dict(raw)
 
 
-def test_missing_keys_rejected():
+# The schema, written out: the keys each object of a run config requires and
+# those it may omit ("" is the whole document).
+REQUIRED_KEYS = {
+    "": {"model", "observer", "safety", "learning", "sim"},
+    "model": {"name"},
+    "observer": {"alpha", "eps0", "gains"},
+    "observer.gains": {"P", "l1", "l2", "l3"},
+    "safety": {"kind"},
+    "learning": {"k_c", "gamma_c", "beta", "R_u", "Q", "points"},
+    "learning.points": {"kind"},
+    "sim": {"dt", "T", "x0", "x_hat0", "Wc0"},
+}
+OPTIONAL_KEYS = {
+    "": set(),
+    "model": {"u_bar", "box_halfwidth"},
+    "observer": {"enabled", "synthesis"},
+    "observer.gains": set(),
+    "safety": {"kappa", "ell", "center", "radius"},
+    "learning": {"point_envelope", "margin_floor"},
+    "learning.points": {"halfwidth", "per_axis", "repel_center",
+                        "repel_radius", "values"},
+    "sim": {"Gamma0", "controller_mode", "monitor_action", "log_every",
+            "ultimate_bound_x", "ultimate_bound_err", "excitation_warn"},
+}
+
+
+def _object(raw: dict, path: str) -> dict:
+    for name in filter(None, path.split(".")):
+        raw = raw[name]
+    return raw
+
+
+def _keys(table):
+    return [(path, key) for path in table for key in sorted(table[path])]
+
+
+def test_schema_tables_cover_every_key():
     raw = preset("study1").to_dict()
-    del raw["sim"]["x0"]
-    with pytest.raises(ConfigError):
+    for path in REQUIRED_KEYS:
+        assert set(_object(raw, path)) == (REQUIRED_KEYS[path]
+                                           | OPTIONAL_KEYS[path])
+
+
+@pytest.mark.parametrize("path, key", _keys(REQUIRED_KEYS),
+                         ids=[f"{p}.{k}".lstrip(".")
+                              for p, k in _keys(REQUIRED_KEYS)])
+def test_missing_keys_rejected(path, key):
+    raw = preset("study1").to_dict()
+    del _object(raw, path)[key]
+    message = f"{path or 'config'}: missing keys ['{key}']"
+    with pytest.raises(ConfigError, match=re.escape(message)):
         RunConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("path, key", _keys(OPTIONAL_KEYS),
+                         ids=[f"{p}.{k}" for p, k in _keys(OPTIONAL_KEYS)])
+def test_optional_keys_may_be_omitted(path, key):
+    raw = preset("study1").to_dict()
+    del _object(raw, path)[key]
+    RunConfig.from_dict(raw)
 
 
 def test_load_config_file(tmp_path):
@@ -123,6 +179,23 @@ def test_cli_presets_dump(capsys):
     assert main(["presets", "--name", "study2"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["safety"]["radius"] == 0.2
+
+
+def test_cli_presets_unknown_name_is_a_config_error(capsys):
+    assert main(["presets", "--name", "bogus"]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "config_error",
+                       "reason": "unknown preset 'bogus'; known: "
+                                 + ", ".join(PRESET_NAMES)}
+
+
+def test_cli_internal_key_error_is_not_a_config_error(tmp_path, monkeypatch):
+    def lookup_fails(config):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("safeadp.cli.build_problem", lookup_fails)
+    with pytest.raises(KeyError, match="internal"):
+        main(["verify-lmi", "--preset", "study1", "--out", str(tmp_path)])
 
 
 def test_cli_run_artifacts(tmp_path, capsys):
@@ -307,6 +380,15 @@ INVALID_VALUES = [
     ("synthesize", ("observer", "alpha", -1.0), ["--budget", "5"]),
     ("audit-bounds", None, ["--preset", "study1", "--grid", "0"]),
     ("audit-bounds", None, ["--preset", "study1", "--grid", "1"]),
+    # shapes that do not fit the plant (n = 2, m = 1) or the basis (L = 6)
+    ("run", ("sim", "x0", [-3.0, 1.5, 0.0]), []),
+    ("run", ("sim", "x_hat0", [-1.5]), []),
+    ("run", ("sim", "Wc0", [0.5, 1.0, 0.8, 0.1, 0.1]), []),
+    ("run", ("sim", "Gamma0", [[1.0, 0.0], [0.0, 1.0]]), []),
+    ("run", ("learning", "R_u", [[1.0, 0.0], [0.0, 1.0]]), []),
+    ("run", ("learning", "Q", [[1.0]]), []),
+    ("run", ("learning", "points",
+             {"kind": "explicit", "values": [[0.1, 0.2, 0.0]]}), []),
 ]
 
 

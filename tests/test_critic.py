@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import safeadp as sa
-from safeadp.critic import (BarrierMode, LearningConfig, bellman_error,
+from safeadp.critic import (LearningConfig, bellman_error,
                             critic_derivatives, excitation_level,
                             extrapolation_terms, quadratic_basis_2d,
                             saturated_policy, saturation_penalty,
@@ -15,8 +15,8 @@ from safeadp.critic import (BarrierMode, LearningConfig, bellman_error,
 from safeadp.safety import BarrierDomainError, parabola_interior
 
 BASIS = quadratic_basis_2d()
-ROBUST = BarrierMode("robust")
-OFF = BarrierMode("off")
+ROBUST = "rlcbf"
+OFF = "none"
 SPEC1 = parabola_interior(kappa=0.01, ell=0.1)
 
 

@@ -15,8 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import safeadp as sa
-from safeadp.critic import (BarrierMode, CriticEvaluator, LearningConfig,
-                            quadratic_basis_2d)
+from safeadp.critic import CriticEvaluator, LearningConfig, quadratic_basis_2d
 from safeadp.safety import (BarrierDomainError, circular_obstacle,
                             parabola_interior)
 
@@ -94,10 +93,10 @@ def _ref_penalty(cfg, preact):
 
 
 def _ref_barrier_terms(spec, mode, zeta, floor=None):
-    if spec is None or not mode.active:
+    if spec is None or mode == "none":
         return (np.zeros(zeta.shape[:-1]),
                 np.zeros(zeta.shape[:-1] + (zeta.shape[-1],)))
-    val, grad = _ref_barrier(spec, zeta, mode.use_envelope, floor)
+    val, grad = _ref_barrier(spec, zeta, mode == "rlcbf", floor)
     return np.asarray(val, float), grad
 
 
@@ -159,7 +158,7 @@ envelope = st.floats(0.0, 2.0, allow_nan=False)
 
 
 @settings(max_examples=150, deadline=None)
-@given(mode=st.sampled_from(["robust", "plain", "off"]),
+@given(mode=st.sampled_from(["rlcbf", "lcbf", "none"]),
        point_envelope=st.sampled_from(["zero", "live"]),
        spec_name=st.sampled_from(sorted(SPECS)),
        points=st.lists(st.tuples(coord, coord), min_size=1, max_size=12),
@@ -167,16 +166,16 @@ envelope = st.floats(0.0, 2.0, allow_nan=False)
                       max_size=5))
 def test_evaluator_matches_frozen_chain(mode, point_envelope, spec_name,
                                         points, calls):
-    spec, bmode = SPECS[spec_name], BarrierMode(mode)
+    spec = SPECS[spec_name]
     cfg = LearningConfig(k_c=5.0, gamma_c=1.0, beta=0.01, u_bar=10.0,
                          R_u=np.array([[1.0]]), Q=np.eye(2),
                          points=np.array(points), point_envelope=point_envelope)
-    ev = CriticEvaluator(MODEL, quadratic_basis_2d(), spec, bmode, cfg, ALPHA)
+    ev = CriticEvaluator(MODEL, quadratic_basis_2d(), spec, mode, cfg, ALPHA)
     # revisit the first envelope value last: a stale cache would show there
     for env, x1, x2, W in [*calls, calls[0]]:
         zeta = np.array([x1, x2, env])
         try:
-            u_ref, delta_ref = _ref_bellman(REF_MODEL, spec, bmode, cfg, zeta,
+            u_ref, delta_ref = _ref_bellman(REF_MODEL, spec, mode, cfg, zeta,
                                             W, ALPHA)
         except BarrierDomainError:
             try:
@@ -192,7 +191,7 @@ def test_evaluator_matches_frozen_chain(mode, point_envelope, spec_name,
             assert _same(u, u_ref) and _same(u_policy, u_ref)
             assert float(delta).hex() == delta_ref.hex()
         got = ev.extrapolate(env, W)
-        want = _ref_extrapolation(REF_MODEL, spec, bmode, cfg, env, W, ALPHA)
+        want = _ref_extrapolation(REF_MODEL, spec, mode, cfg, env, W, ALPHA)
         for name, g, w in zip(("omega", "rho", "delta"), got, want):
             assert _same(g, w), f"{name} differs at envelope {env!r}"
 
@@ -203,7 +202,7 @@ def test_live_envelope_refreshes_cached_points():
                          points=np.array([[0.2, 0.1], [-0.3, 0.4]]),
                          point_envelope="live")
     ev = CriticEvaluator(MODEL, quadratic_basis_2d(), SPECS["parabola"],
-                         BarrierMode("robust"), cfg, ALPHA)
+                         "rlcbf", cfg, ALPHA)
     W = np.linspace(-1.0, 1.0, 6)
     first = ev.extrapolate(0.5, W)
     moved = ev.extrapolate(1.5, W)

@@ -170,7 +170,8 @@ def test_config_validation():
         SimConfig(dt=1e-2, T=1.0, x0=np.zeros(2), x_hat0=np.zeros(2),
                   Wc0=np.zeros(6), Gamma0=np.eye(6), controller_mode="qp")
     with pytest.raises(ValueError):
-        SimConfig(dt=1e-2, T=1.0, Gamma0="eye")
+        SimConfig(dt=1e-2, T=1.0, x0=np.zeros(2), x_hat0=np.zeros(2),
+                  Wc0=np.zeros(6), Gamma0="eye")
 
 
 # ---------------------------------------------------------------- evaluation errors
