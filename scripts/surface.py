@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
-"""Print the size of the package source and of its public surface.
+"""Print the size of the package source, of its public surface and of its
+command line.
 
-Two numbers: the line count of ``src/safeadp/*.py`` (what
-``cat src/safeadp/*.py | wc -l`` prints) and the count of public names,
-which is the module-level functions and classes plus the methods and
-properties of those classes whose names do not start with an underscore.
-Nested functions and dataclass fields are not counted.
+Three numbers: the line count of ``src/safeadp/*.py`` (what
+``cat src/safeadp/*.py | wc -l`` prints); the count of public names, which
+is the module-level functions and classes plus the methods and properties of
+those classes whose names do not start with an underscore (nested functions
+and dataclass fields are not counted); and the count of CLI options, the
+optional arguments of every subcommand of ``safeadp.cli.build_parser()``
+with ``-h`` excluded.
 
     python3 scripts/surface.py [SRC_DIR]
 """
 
+import argparse
 import ast
 import sys
 from pathlib import Path
@@ -38,11 +42,23 @@ def surface(src: Path) -> tuple[int, list[str]]:
     return lines, sorted(names)
 
 
+def cli_options(src: Path) -> int:
+    """Optional arguments of all subcommands of the package in src, -h
+    excluded."""
+    sys.path.insert(0, str(src.parent))
+    from safeadp.cli import build_parser
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sum(1 for parser in sub.choices.values() for a in parser._actions
+               if a.option_strings and not isinstance(a, argparse._HelpAction))
+
+
 def main(argv) -> int:
     src = Path(argv[0]) if argv else DEFAULT_SRC
     lines, names = surface(src)
     print(f"src lines: {lines}")
     print(f"public names: {len(names)}")
+    print(f"cli options: {cli_options(src)}")
     return 0
 
 

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import tempfile
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,21 +41,10 @@ def _load_run_config(args) -> RunConfig:
     if args.config and args.preset:
         raise ConfigError("pass either --config or --preset, not both")
     if args.config:
-        cfg = load_config(args.config)
-    elif args.preset:
-        cfg = _preset(args.preset)
-    else:
-        raise ConfigError("a --config file or a --preset name is required")
-    overrides = {}
-    if args.dt is not None:
-        overrides["dt"] = args.dt
-    if args.horizon is not None:
-        overrides["T"] = args.horizon
-    if args.monitor is not None:
-        overrides["monitor_action"] = args.monitor
-    if overrides:
-        cfg = cfg.replace_sim(**overrides)
-    return cfg
+        return load_config(args.config)
+    if args.preset:
+        return _preset(args.preset)
+    raise ConfigError("a --config file or a --preset name is required")
 
 
 # plotdata file -> the log fields it holds, in column order
@@ -93,7 +83,10 @@ def _write_json(path: Path, payload):
 
 
 def cmd_run(args) -> int:
-    cfg = _load_run_config(args)
+    overrides = {key: value for key, value in (
+        ("dt", args.dt), ("T", args.horizon), ("monitor_action", args.monitor))
+        if value is not None}
+    cfg = _load_run_config(args).replace_sim(**overrides)
     problem, synth_cert = build_problem(cfg)
     certs = None
     if cfg.observer.enabled:
@@ -145,21 +138,23 @@ def cmd_verify_lmi(args) -> int:
 
 def cmd_synthesize(args) -> int:
     cfg = _load_run_config(args)
+    # the flags passed, each an observer.synthesis key that overrides the config
+    keys = ("mode", *(f.name for f in fields(lmi.SearchParams)))
+    flags = {key: getattr(args, key) for key in keys
+             if getattr(args, key) is not None}
     with _invalid("observer"):
-        problem_lmi = lmi.LmiProblem.from_model(cfg.model.build(),
-                                                cfg.observer.alpha)
-    params = lmi.SearchParams(budget=args.budget, step=args.step,
-                              seed=args.seed, tol=args.tol)
-    P, l1, l2, l3, cert = lmi.synthesize_gains(problem_lmi, search=params,
-                                               mode=args.mode)
+        observer = replace(cfg.observer, gains="synthesize",
+                           synthesis={**cfg.observer.synthesis, **flags})
+    gains, cert = observer.build(cfg.model.build())
     verdict = "feasible" if cert.feasible else "infeasible"
-    print(f"synthesis ({args.mode}): {verdict}, "
+    print(f"synthesis ({cert.mode}): {verdict}, "
           f"max eigenvalue {cert.max_eigenvalue:.6g}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
-        "gains": {"P": P.tolist(), "l1": l1.ravel().tolist(),
-                  "l2": l2.ravel().tolist(), "l3": l3.ravel().tolist()},
+        "gains": {"P": gains.P.tolist(), "l1": gains.l1.ravel().tolist(),
+                  "l2": gains.l2.ravel().tolist(),
+                  "l3": gains.l3.ravel().tolist()},
         "certificate": cert.to_json_dict(),
     }
     _write_json(out / "synthesis.json", payload)
@@ -197,17 +192,10 @@ def cmd_audit_bounds(args) -> int:
     return EXIT_OK if report["ok"] else EXIT_RUN_FAILED
 
 
-def _add_common(p):
+def _add_common(p, out="results"):
     p.add_argument("--config", help="path to a JSON run configuration")
     p.add_argument("--preset", help=f"preset name ({', '.join(PRESET_NAMES)})")
-    p.add_argument("--out", default="results", help="output directory")
-    p.add_argument("--dt", type=float, default=None, help="override step size")
-    p.add_argument("--horizon", type=float, default=None,
-                   help="override horizon T")
-    p.add_argument("--monitor", choices=("warn", "abort"), default=None,
-                   help="override monitor action")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for sampled audits and synthesis")
+    p.add_argument("--out", default=out, help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,6 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="integrate a closed-loop experiment")
     _add_common(p)
+    p.add_argument("--dt", type=float, help="override step size")
+    p.add_argument("--horizon", type=float, help="override horizon T")
+    p.add_argument("--monitor", choices=("warn", "abort"),
+                   help="override monitor action")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("verify-lmi", help="verify observer gains")
@@ -226,11 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synthesize", help="search for feasible observer gains")
     _add_common(p)
-    p.add_argument("--budget", type=int, default=2000)
-    p.add_argument("--step", type=float, default=0.5)
-    p.add_argument("--tol", type=float, default=lmi.FEASIBILITY_TOL)
+    for f in fields(lmi.SearchParams):
+        p.add_argument(f"--{f.name}", type=type(f.default),
+                       help=f"override observer.synthesis.{f.name} "
+                            f"(default {f.default})")
     p.add_argument("--mode", choices=lmi.VERIFY_MODES,
-                   default="theta_identity")
+                   help="override observer.synthesis.mode")
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("presets", help="list presets or dump one as JSON")
@@ -238,9 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_presets)
 
     p = sub.add_parser("audit-bounds", help="finite-difference Jacobian audit")
-    _add_common(p)
+    _add_common(p, out=None)
     p.add_argument("--grid", type=int, default=21, help="samples per axis")
     p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the sampled Lipschitz audit")
     p.set_defaults(func=cmd_audit_bounds)
     return parser
 

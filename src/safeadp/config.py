@@ -246,30 +246,39 @@ def load_config(path) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
-def _check_shapes(config: RunConfig, n: int, m: int, L: int):
+def _check_shapes(config: RunConfig, model: SystemModel, L: int):
     """Reject, before any gain synthesis runs, a vector or matrix that does
-    not fit the plant (n states, m inputs) or the basis (L weights)."""
-    sim, learning = config.sim, config.learning
+    not fit the plant (n states, m inputs, q outputs) or the basis (L
+    weights).  The injection gains l1, l2, l3 are read as n rows of q, so
+    only their size is checked: an int want is a size, a tuple a shape."""
+    n, m, q = model.n, model.m, model.q
+    sim, learning, gains = config.sim, config.learning, config.observer.gains
     with _invalid("learning.points"):
         points = learning.points.build()
     gamma0 = np.eye(L) if isinstance(sim.Gamma0, str) else sim.Gamma0
-    for key, value, want in (
-            ("sim.x0", sim.x0, (n,)), ("sim.x_hat0", sim.x_hat0, (n,)),
-            ("sim.Wc0", sim.Wc0, (L,)), ("sim.Gamma0", gamma0, (L, L)),
-            ("learning.R_u", learning.R_u, (m, m)),
-            ("learning.Q", learning.Q, (n, n)),
-            ("learning.points", points, (*np.shape(points)[:1], n))):
+    checks = [("sim.x0", sim.x0, (n,)), ("sim.x_hat0", sim.x_hat0, (n,)),
+              ("sim.Wc0", sim.Wc0, (L,)), ("sim.Gamma0", gamma0, (L, L)),
+              ("learning.R_u", learning.R_u, (m, m)),
+              ("learning.Q", learning.Q, (n, n)),
+              ("learning.points", points, (*np.shape(points)[:1], n))]
+    if isinstance(gains, GainsConfig):
+        checks += [("observer.gains.P", gains.P, (n, n)),
+                   *((f"observer.gains.{key}", getattr(gains, key), n * q)
+                     for key in ("l1", "l2", "l3"))]
+    for key, value, want in checks:
         with _invalid(key):
-            shape = np.shape(np.asarray(value, float))
-        if shape != want:
-            raise ConfigError(f"{key}: shape {shape}, expected {want}")
+            array = np.asarray(value, float)
+        what = "size" if isinstance(want, int) else "shape"
+        if getattr(array, what) != want:
+            raise ConfigError(f"{key}: {what} {getattr(array, what)}, "
+                              f"expected {want}")
 
 
 def build_problem(config: RunConfig):
     """Assemble the closed-loop problem.  Returns (problem, synth_certificate)."""
     model = config.model.build()
     basis = quadratic_basis_2d()
-    _check_shapes(config, model.n, model.m, basis.L)
+    _check_shapes(config, model, basis.L)
     gains, cert = config.observer.build(model)
     spec = config.safety.build()
     learn = config.learning.build(u_bar=model.u_bar)

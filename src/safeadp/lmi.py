@@ -175,6 +175,11 @@ class SearchParams:
     tol: float = FEASIBILITY_TOL
     seed: int = 0
 
+    def __post_init__(self):
+        if self.budget < 0 or self.tol < 0 or self.step <= 0:
+            raise ValueError("search needs budget >= 0, tol >= 0 and step > 0, "
+                             f"got {self.budget}, {self.tol} and {self.step}")
+
 
 PD_FLOOR = 1e-6     # smallest eigenvalue of a candidate P
 

@@ -40,11 +40,9 @@ class ObserverGains:
     def __post_init__(self):
         P = np.asarray(self.P, float)
         object.__setattr__(self, "P", P)
-        for attr in ("l1", "l2", "l3"):
-            g = np.asarray(getattr(self, attr), float)
-            if g.ndim == 1:
-                g = g[:, None]
-            object.__setattr__(self, attr, g)
+        for attr in ("l1", "l2", "l3"):     # n rows of q, as the LMI reads them
+            object.__setattr__(self, attr, np.asarray(
+                getattr(self, attr), float).reshape(len(P), -1))
         if self.alpha <= 0:
             raise ValueError("decay rate must be positive")
         if self.eps0 <= 0:

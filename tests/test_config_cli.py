@@ -275,6 +275,59 @@ def test_cli_audit_bounds(tmp_path, capsys):
     assert (out / "bounds_audit.json").exists()
 
 
+def test_cli_audit_bounds_writes_no_file_without_out(tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["audit-bounds", "--preset", "study1", "--grid", "5"]) == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+def _synthesis_config(tmp_path, **synthesis) -> str:
+    raw = preset("study1").to_dict()
+    raw["observer"].update(gains="synthesize", synthesis=synthesis)
+    path = tmp_path / f"seed{synthesis['seed']}.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def _synthesized_certificate(out, cfg_file, *flags) -> dict:
+    # a 20-candidate search stays infeasible on study1: exit 1
+    assert main(["synthesize", "--config", cfg_file, *flags,
+                 "--out", str(out)]) == 1
+    return json.loads((out / "synthesis.json").read_text())["certificate"]
+
+
+def test_cli_synthesize_reads_observer_synthesis_like_run(tmp_path, capsys):
+    cfg_file = _synthesis_config(tmp_path, budget=20, seed=3)
+    out = tmp_path / "run"
+    # the infeasible gains abort the run at once; it still writes certificates
+    assert main(["run", "--config", cfg_file, "--horizon", "0.01",
+                 "--out", str(out)]) == 1
+    run_cert = json.loads((out / "certificate.json").read_text())["synthesis"]
+    assert _synthesized_certificate(tmp_path / "a", cfg_file) == run_cert
+    # a passed flag overrides the config's key of the same name
+    seed5 = _synthesized_certificate(
+        tmp_path / "b", _synthesis_config(tmp_path, budget=20, seed=5))
+    assert seed5 != run_cert
+    assert _synthesized_certificate(tmp_path / "c", cfg_file,
+                                    "--seed", "5") == seed5
+
+
+# a flag the subcommand does not read is refused by argparse
+@pytest.mark.parametrize("argv", [
+    ["verify-lmi", "--dt", "0.01"],
+    ["synthesize", "--horizon", "0.01", "--budget", "5"],
+    ["audit-bounds", "--monitor", "warn", "--grid", "5"],
+    ["run", "--seed", "1", "--horizon", "0.01"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_cli_unread_flag_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--preset", "study1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_cli_run_abort_is_machine_readable(tmp_path, capsys):
     # estimate starting outside the robustified safe set aborts with a report
     raw = preset("study1").to_dict()
@@ -359,8 +412,11 @@ def test_cli_run_unwritable_out_fails_before_the_run(tmp_path, capsys,
     assert blocker.read_text() == ""
 
 
-# (command, (section, key, value) written into a study1 config file, or None
-# for a preset run, extra arguments)
+SYNTHESIZE = ("observer", "gains", "synthesize")
+HORIZON = ["--horizon", "0.01"]
+
+# (command, (object, key, value) or a tuple of them written into a study1
+# config file, or None for a preset run, extra arguments)
 INVALID_VALUES = [
     ("run", ("sim", "dt", -1.0), []),
     ("run", ("sim", "log_every", 0), []),
@@ -375,12 +431,14 @@ INVALID_VALUES = [
     ("run", None, ["--preset", "study1", "--dt", "-1"]),
     ("synthesize", ("model", "u_bar", -1.0), ["--budget", "5"]),
     ("audit-bounds", ("model", "box_halfwidth", 0.0), []),
-    # synthesize builds its LMI problem outside the config sections, and an
-    # audit grid needs two samples per axis to span the box
+    # synthesize builds its gains through the observer section, as run does,
+    # and an audit grid needs two samples per axis to span the box
     ("synthesize", ("observer", "alpha", -1.0), ["--budget", "5"]),
+    ("synthesize", ("observer", "eps0", 0.0), ["--budget", "5"]),
     ("audit-bounds", None, ["--preset", "study1", "--grid", "0"]),
     ("audit-bounds", None, ["--preset", "study1", "--grid", "1"]),
-    # shapes that do not fit the plant (n = 2, m = 1) or the basis (L = 6)
+    # shapes that do not fit the plant (n = 2, m = 1, q = 1) or the basis
+    # (L = 6 weights)
     ("run", ("sim", "x0", [-3.0, 1.5, 0.0]), []),
     ("run", ("sim", "x_hat0", [-1.5]), []),
     ("run", ("sim", "Wc0", [0.5, 1.0, 0.8, 0.1, 0.1]), []),
@@ -389,20 +447,37 @@ INVALID_VALUES = [
     ("run", ("learning", "Q", [[1.0]]), []),
     ("run", ("learning", "points",
              {"kind": "explicit", "values": [[0.1, 0.2, 0.0]]}), []),
+    ("run", ("observer.gains", "l1", [0.1, 0.2, 0.3]), []),
+    ("verify-lmi", ("observer.gains", "l2", [0.1, 0.2, 0.3]), []),
+    ("verify-lmi", ("observer.gains", "P", np.eye(3).tolist()), []),
+    # a gain search needs tol >= 0 (a negative one certifies a positive
+    # eigenvalue), budget >= 0 and step > 0
+    ("synthesize", None, ["--preset", "study1", "--tol", "-100",
+                          "--budget", "0"]),
+    ("synthesize", None, ["--preset", "study1", "--budget", "-5"]),
+    ("synthesize", ("observer.synthesis", "step", 0.0), []),
+    ("run", (SYNTHESIZE, ("observer.synthesis", "tol", -100.0)), HORIZON),
+    ("run", (SYNTHESIZE, ("observer.synthesis", "budget", -5)), HORIZON),
+    ("run", (SYNTHESIZE, ("observer.synthesis", "step", 0.0)), HORIZON),
 ]
+
+
+def _edits(edit):
+    """The (object, key, value) triples of an INVALID_VALUES edit."""
+    return edit if isinstance(edit[0], tuple) else (edit,)
 
 
 @pytest.mark.parametrize(
     "command, edit, extra", INVALID_VALUES,
-    ids=[f"{c}-{'.'.join(map(str, e[:2])) if e else ' '.join(x)}"
+    ids=[f"{c}-{'.'.join(map(str, _edits(e)[-1][:2])) if e else ' '.join(x)}"
          for c, e, x in INVALID_VALUES])
 def test_cli_invalid_value_is_a_config_error(tmp_path, capsys, command, edit,
                                              extra):
     argv = [command, *extra]
     if edit is not None:
-        section, key, value = edit
         raw = preset("study1").to_dict()
-        raw[section][key] = value
+        for path, key, value in _edits(edit):
+            _object(raw, path)[key] = value
         cfg_file = tmp_path / "bad.json"
         cfg_file.write_text(json.dumps(raw))
         argv += ["--config", str(cfg_file)]

@@ -115,6 +115,13 @@ def test_gains_cache_and_consistency():
     assert g.chi == pytest.approx(np.sqrt(ev[-1] / ev[0]) * 2.5)
 
 
+def test_gains_are_read_as_n_rows_like_the_lmi():
+    # a flat list is a column, and any n q entries are n rows of q, as
+    # LmiProblem reads them; verify-lmi and run then check the same gains
+    for l3 in (STUDY1_L3, STUDY1_L3[None], STUDY1_L3[:, None]):
+        assert np.array_equal(_gains(l3=l3).l3, STUDY1_L3.reshape(2, 1))
+
+
 def test_gains_validation():
     with pytest.raises(ValueError):
         ObserverGains(P=np.array([[1.0, 0.5], [0.0, 1.0]]), l1=STUDY1_L1,
