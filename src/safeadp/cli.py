@@ -174,6 +174,8 @@ def cmd_presets(args) -> int:
 def cmd_audit_bounds(args) -> int:
     if args.grid < 2:
         raise ConfigError(f"--grid must be at least 2, got {args.grid}")
+    if not args.tol >= 0:
+        raise ConfigError(f"--tol must be nonnegative, got {args.tol}")
     cfg = _load_run_config(args)
     model = cfg.model.build()
     report = audit_jacobian_bounds(model, n_grid=args.grid, tol=args.tol)

@@ -194,11 +194,14 @@ class CriticEvaluator:
         return u, flow, delta
 
     def at(self, zeta, weights, with_delta: bool = False,
-           floor: float | None = None):
+           floor: float | None = None, plant: bool = False):
         """(u, delta) at augmented state(s) zeta; delta is None unless asked.
 
         Without `floor`, a nonpositive barrier margin raises
-        BarrierDomainError; with it, margins are clamped.
+        BarrierDomainError; with it, margins are clamped.  With `plant`, the
+        augmented effectiveness and drift evaluated at zeta follow (the drift
+        is None unless delta was asked), for a caller that needs the plant at
+        the same state.
         """
         zeta = np.asarray(zeta, float)
         gp = np.asarray(self.basis.grad_phi(zeta), float)
@@ -210,7 +213,7 @@ class CriticEvaluator:
             x = zeta[..., :-1]
             qcost = np.einsum("...i,ij,...j->...", x, self.config.Q, x)
         u, _, delta = self._chain(gp, Bval, gB, G, weights, F, qcost)
-        return u, delta
+        return (u, delta, G, F) if plant else (u, delta)
 
     def _point_terms(self, envelope_now: float):
         cfg = self.config
@@ -282,7 +285,9 @@ def critic_derivatives(omega, rho, delta, weights, gain,
     """Normalized-gradient weight update and forgetting-factor gain update.
 
     weights_dot = -(k_c/N) * gain @ sum_k (omega_k/rho_k) delta_k
-    gain_dot    = beta*gain - (k_c/N) * gain @ sum_k (omega_k omega_k'/rho_k^2) @ gain
+    gain_dot    = beta*gain - (k_c/N) * gain @ S @ gain
+    with S = sum_k omega_k omega_k'/rho_k^2, which is returned third for the
+    excitation monitor.
     """
     omega = np.asarray(omega, float)
     rho = np.asarray(rho, float)
@@ -293,17 +298,14 @@ def critic_derivatives(omega, rho, delta, weights, gain,
     normalized = omega / rho[:, None]
     S = normalized.T @ normalized
     gain_dot = config.beta * gain - (config.k_c / N) * gain @ S @ gain
-    return w_dot, gain_dot
+    return w_dot, gain_dot, S
 
 
-def excitation_level(omega, rho) -> float:
-    """Smallest eigenvalue of the averaged normalized outer-product sum.
+def excitation_level(S, N: int) -> float:
+    """Smallest eigenvalue of S / N, the averaged normalized outer-product sum
+    of the N extrapolation points that critic_derivatives returns.
 
     The online-checkable stand-in for a persistence-of-excitation condition;
     a value near zero means some weight directions receive no information.
     """
-    omega = np.asarray(omega, float)
-    rho = np.asarray(rho, float)
-    normalized = omega / rho[:, None]
-    S = normalized.T @ normalized / len(rho)
-    return float(np.linalg.eigvalsh(S)[0])
+    return float(np.linalg.eigvalsh(S / N)[0])

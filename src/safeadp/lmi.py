@@ -103,53 +103,74 @@ class LmiCertificate:
 
 
 def assemble_lmi_matrix(problem: LmiProblem, P, R_lmi, l1, l2, theta) -> np.ndarray:
-    """Symmetric 2n x 2n verification matrix for each n x n theta of a stack
-    of shape (..., n, n); the result has shape (..., 2n, 2n)."""
+    """Symmetric 2n x 2n verification matrix for each candidate and each theta.
+
+    P may be one n x n matrix or a stack (..., n, n) of candidates, with
+    R_lmi, l1 and l2 of shape (..., n, q) to match; theta is one n x n
+    matrix or a stack of them.  The result has shape
+    (candidates..., thetas..., 2n, 2n).
+    """
     n = problem.n
     P = np.asarray(P, float)
-    R = np.asarray(R_lmi, float).reshape(n, problem.q)
-    l1 = np.asarray(l1, float).reshape(n, problem.q)
-    l2 = np.asarray(l2, float).reshape(n, problem.q)
+    lead = P.shape[:-2]
+    R = np.asarray(R_lmi, float).reshape(lead + (n, problem.q))
+    l1 = np.asarray(l1, float).reshape(lead + (n, problem.q))
+    l2 = np.asarray(l2, float).reshape(lead + (n, problem.q))
     theta = np.asarray(theta, float)
-    if P.shape != (n, n) or theta.shape[-2:] != (n, n):
+    if P.shape[-2:] != (n, n) or theta.shape[-2:] != (n, n):
         raise ValueError("dimension mismatch in verification matrix assembly")
 
+    # candidate terms broadcast over the theta axes
+    over_theta = (1,) * (theta.ndim - 2)
+    Pb = P.reshape(lead + over_theta + (n, n))
+    Rb = R.reshape(lead + over_theta + (n, problem.q))
     A_theta = problem.A @ theta
     C_theta = problem.C @ theta
     gap_f = problem.Kf2 - problem.Kf1
     gap_g = problem.Kg2 - problem.Kg1
     eye = np.eye(n)
 
-    top_left = (np.swapaxes(A_theta, -1, -2) @ P + P @ A_theta
-                - np.swapaxes(C_theta, -1, -2) @ R.T - R @ C_theta
-                + 2.0 * problem.alpha * P)
+    top_left = (np.swapaxes(A_theta, -1, -2) @ Pb + Pb @ A_theta
+                - np.swapaxes(C_theta, -1, -2) @ np.swapaxes(Rb, -1, -2)
+                - Rb @ C_theta
+                + 2.0 * problem.alpha * Pb)
     lower_off = (np.sqrt(2.0) * P
                  + gap_f @ (eye - l1 @ problem.C)
-                 + gap_g @ (eye - l2 @ problem.C))
+                 + gap_g @ (eye - l2 @ problem.C)).reshape(Pb.shape)
     # only the top-left block needs symmetrizing: 0.5 * (x + x) == x exactly
-    M = np.empty(theta.shape[:-2] + (2 * n, 2 * n))
+    M = np.empty(top_left.shape[:-2] + (2 * n, 2 * n))
     M[..., :n, :n] = 0.5 * (top_left + np.swapaxes(top_left, -1, -2))
-    M[..., :n, n:] = lower_off.T
+    M[..., :n, n:] = np.swapaxes(lower_off, -1, -2)
     M[..., n:, :n] = lower_off
     M[..., n:, n:] = -3.0 * eye
     return M
 
 
-def _top_eigenvalues(problem: LmiProblem, P, R_lmi, l1, l2, mode: str):
-    """(thetas, top eigenvalue per theta, |l1 C|, |l2 C|) for one mode."""
+def _thetas(problem: LmiProblem, mode: str) -> np.ndarray:
+    """The stack of theta matrices that a mode checks."""
     if mode not in VERIFY_MODES:
         raise ValueError(f"unknown verification mode {mode!r}")
-    n = problem.n
-    l1 = np.asarray(l1, float).reshape(n, problem.q)
-    l2 = np.asarray(l2, float).reshape(n, problem.q)
-    # the spectral norm is the largest singular value: one SVD for the pair
-    norm1, norm2 = np.linalg.svd(np.stack([l1 @ problem.C, l2 @ problem.C]),
-                                 compute_uv=False).max(axis=-1).tolist()
-    thetas = (np.eye(n)[None] if mode == "theta_identity"
-              else problem.theta_vertices())
+    return (np.eye(problem.n)[None] if mode == "theta_identity"
+            else problem.theta_vertices())
+
+
+def _top_eigenvalues(problem: LmiProblem, P, R_lmi, l1, l2, mode: str):
+    """(thetas, top eigenvalues, injection norms) of a stack of K candidates.
+
+    P is (K, n, n) and R_lmi, l1, l2 are (K, n, q).  The eigenvalues are
+    (K, len(thetas)) and the norms (K, 2): |l1 C| and |l2 C| per candidate.
+    """
+    thetas = _thetas(problem, mode)
+    P = np.asarray(P, float)
+    shape = P.shape[:-2] + (problem.n, problem.q)
+    l1 = np.asarray(l1, float).reshape(shape)
+    l2 = np.asarray(l2, float).reshape(shape)
+    # the spectral norm is the largest singular value: one SVD for all norms
+    norms = np.linalg.svd(np.stack([l1 @ problem.C, l2 @ problem.C], axis=-3),
+                          compute_uv=False).max(axis=-1)
     eigs = np.linalg.eigvalsh(
-        assemble_lmi_matrix(problem, P, R_lmi, l1, l2, thetas))[:, -1].tolist()
-    return thetas, eigs, norm1, norm2
+        assemble_lmi_matrix(problem, P, R_lmi, l1, l2, thetas))[..., -1]
+    return thetas, eigs, norms
 
 
 def verify_gains(problem: LmiProblem, P, R_lmi, l1, l2,
@@ -157,8 +178,10 @@ def verify_gains(problem: LmiProblem, P, R_lmi, l1, l2,
                  tol: float = FEASIBILITY_TOL) -> LmiCertificate:
     """Check negativity of the verification matrix and the injection-norm caps
     in one of the VERIFY_MODES."""
-    thetas, eigs, norm1, norm2 = _top_eigenvalues(problem, P, R_lmi, l1, l2,
-                                                  mode)
+    thetas, eigs, norms = _top_eigenvalues(
+        problem, np.asarray(P, float)[None], R_lmi, l1, l2, mode)
+    eigs = eigs[0].tolist()
+    norm1, norm2 = norms[0].tolist()
     worst = int(np.argmax(eigs))
     max_eig = eigs[worst]
     feasible = (max_eig < -tol) and norm1 <= 1.0 and norm2 <= 1.0
@@ -182,18 +205,26 @@ class SearchParams:
 
 
 PD_FLOOR = 1e-6     # smallest eigenvalue of a candidate P
+# The search evaluates up to BATCH candidates in one kernel call, capped so
+# that a batch holds at most BATCH_MATRICES verification matrices.
+BATCH = 16
+BATCH_MATRICES = 4096
 
 
 def _project_pd(P: np.ndarray) -> np.ndarray:
-    P = 0.5 * (P + P.T)
+    """Each matrix of a stack (..., n, n), symmetrized with its eigenvalues
+    clipped at PD_FLOOR."""
+    P = 0.5 * (P + np.swapaxes(P, -1, -2))
     ev, V = np.linalg.eigh(P)
-    return (V * np.maximum(ev, PD_FLOOR)) @ V.T
+    return (V * np.maximum(ev, PD_FLOOR)[..., None, :]) @ np.swapaxes(V, -1, -2)
 
 
-def _penalty(problem: LmiProblem, P, R, l1, l2, mode: str) -> float:
-    _, eigs, norm1, norm2 = _top_eigenvalues(problem, P, R, l1, l2, mode)
-    hinge = 100.0 * (max(0.0, norm1 - 1.0) + max(0.0, norm2 - 1.0))
-    return max(eigs) + hinge
+def _penalties(problem: LmiProblem, P, R, l1, l2, mode: str) -> list[float]:
+    """Search penalty of each candidate of a stack: the top eigenvalue over
+    the mode's thetas plus a hinge on the injection norms."""
+    _, eigs, norms = _top_eigenvalues(problem, P, R, l1, l2, mode)
+    return [max(top) + 100.0 * (max(0.0, norm1 - 1.0) + max(0.0, norm2 - 1.0))
+            for top, (norm1, norm2) in zip(eigs.tolist(), norms.tolist())]
 
 
 def synthesize_gains(problem: LmiProblem, search: SearchParams = SearchParams(),
@@ -205,28 +236,51 @@ def synthesize_gains(problem: LmiProblem, search: SearchParams = SearchParams(),
     starts at P = I with zero R_lmi, l1 and l2.  Returns
     ``(P, l1, l2, l3, certificate)``; an exhausted budget yields an infeasible
     certificate rather than an exception.
+
+    Each iteration perturbs the best point so far with fresh Gaussian noise
+    and keeps the candidate if its penalty is lower, growing the step on
+    success and shrinking it otherwise.  The candidates of the next BATCH
+    iterations are evaluated together, on the guess that none of them is
+    accepted; the first accepted one ends the batch, and the noise drawn for
+    the candidates after it is used by the next batch.  The result is that of
+    evaluating one candidate at a time.
     """
     n, q = problem.n, problem.q
     rng = np.random.default_rng(search.seed)
+    batch = max(1, min(BATCH, BATCH_MATRICES // len(_thetas(problem, mode))))
 
     best = (np.eye(n), np.zeros((n, q)), np.zeros((n, q)), np.zeros((n, q)))
-    best_pen = _penalty(problem, *best, mode)
+    [best_pen] = _penalties(problem, *(b[None] for b in best), mode)
     step = search.step
-    if best_pen > -search.tol:
-        for _ in range(search.budget):
-            P_c = _project_pd(best[0] + step * rng.standard_normal((n, n)))
-            R_c = best[1] + step * rng.standard_normal((n, q))
-            l1_c = best[2] + 0.1 * step * rng.standard_normal((n, q))
-            l2_c = best[3] + 0.1 * step * rng.standard_normal((n, q))
-            pen = _penalty(problem, P_c, R_c, l1_c, l2_c, mode)
-            if pen < best_pen:
-                best = (P_c, R_c, l1_c, l2_c)
-                best_pen = pen
-                step = min(step * 1.3, 10.0)
-            else:
-                step = max(step * 0.97, 1e-4)
-            if best_pen < -search.tol:
-                break
+    # the P, R_lmi, l1 and l2 perturbations of the next iterations; the first
+    # `drawn` rows hold noise that no candidate has used yet
+    noise = [np.empty((batch, n, n))] + [np.empty((batch, n, q))
+                                         for _ in range(3)]
+    drawn = 0
+    left = search.budget if best_pen > -search.tol else 0
+    while left > 0:
+        k = min(batch, left)
+        for row in range(drawn, k):
+            for d in noise:
+                rng.standard_normal(out=d[row])
+        steps = [step]      # the steps if every candidate is rejected
+        for _ in range(k):
+            steps.append(max(steps[-1] * 0.97, 1e-4))
+        s = np.array(steps[:k])[:, None, None]
+        dP, dR, d1, d2 = (d[:k] for d in noise)
+        cands = (_project_pd(best[0] + s * dP), best[1] + s * dR,
+                 best[2] + 0.1 * s * d1, best[3] + 0.1 * s * d2)
+        pens = _penalties(problem, *cands, mode)
+        j = next((j for j, pen in enumerate(pens) if pen < best_pen), None)
+        if j is None:
+            used, step = k, steps[k]
+        else:
+            used, step = j + 1, min(steps[j] * 1.3, 10.0)
+            best, best_pen = tuple(c[j] for c in cands), pens[j]
+        for d in noise:
+            d[:k - used] = d[used:k]
+        drawn = k - used
+        left = 0 if best_pen < -search.tol else left - used
 
     P, R, l1, l2 = best
     l3 = np.linalg.solve(P, R)

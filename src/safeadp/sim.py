@@ -178,9 +178,9 @@ def _make_rhs(problem: ControlProblem):
     """Coupled right-hand side.
 
     rhs(tau, x, x_hat, W, G, with_delta) returns the four derivatives and
-    (u, delta, omega, rho, envelope): the stage control, the Bellman error at
-    the estimate (None unless asked), the extrapolation regressors and
-    normalizers, and the envelope at tau.
+    (u, delta, S, envelope): the stage control, the Bellman error at the
+    estimate (None unless asked), the normalized outer-product sum of the
+    extrapolation regressors, and the envelope at tau.
     """
     model, gains, learn = problem.model, problem.gains, problem.learn
     observer_enabled = problem.observer_enabled
@@ -189,16 +189,20 @@ def _make_rhs(problem: ControlProblem):
 
     def rhs(tau, x, xh, W, G, with_delta=False):
         env = error_envelope(gains, tau)
-        u, delta = critic.at(np.concatenate([xh, [env]]), W, with_delta)
-        x_dot = drift(model, x) + effectiveness(model, x) @ u
+        u, delta, g_aug, f_aug = critic.at(np.concatenate([xh, [env]]), W,
+                                           with_delta, plant=True)
         if observer_enabled:
+            x_dot = drift(model, x) + effectiveness(model, x) @ u
             y = model.C @ x
             xh_dot = observer_rhs(model, gains, xh, y, u)
         else:
-            xh_dot = x_dot
+            # x_hat is x bit for bit, so the critic has already evaluated
+            # g(x), and f(x) too when it formed the Bellman error
+            f_x = drift(model, x) if f_aug is None else f_aug[:-1]
+            x_dot = xh_dot = f_x + g_aug[:-1] @ u
         omega, rho, delta_pts = critic.extrapolate(env, W)
-        w_dot, g_dot = critic_derivatives(omega, rho, delta_pts, W, G, learn)
-        return (x_dot, xh_dot, w_dot, g_dot), (u, delta, omega, rho, env)
+        w_dot, g_dot, S = critic_derivatives(omega, rho, delta_pts, W, G, learn)
+        return (x_dot, xh_dot, w_dot, g_dot), (u, delta, S, env)
 
     return rhs
 
@@ -293,15 +297,14 @@ def run(problem: ControlProblem) -> tuple[TrajectoryLog, RunSummary]:
     while True:
         t = k * cfg.dt
         try:
-            k1, (u, delta, omega, rho, env) = _stage(rhs, 1, t, x, xh, W, G,
-                                                     True)
+            k1, (u, delta, S, env) = _stage(rhs, 1, t, x, xh, W, G, True)
         except BarrierDomainError as exc:
             abort_reason = f"barrier_domain: {exc}"
             break
         except _EVALUATION_ERRORS as exc:
             abort_reason = f"evaluation_error at step {k}, t={t:.6g}, {exc}"
             break
-        excite = excitation_level(omega, rho)
+        excite = excitation_level(S, len(problem.learn.points))
         err = float(np.linalg.norm(x - xh))
         hx = float(spec.h(x)) if spec is not None else float("nan")
         hr = (float(spec.h(xh)) - spec.ell * env) if spec is not None else float("nan")

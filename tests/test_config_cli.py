@@ -437,6 +437,8 @@ INVALID_VALUES = [
     ("synthesize", ("observer", "eps0", 0.0), ["--budget", "5"]),
     ("audit-bounds", None, ["--preset", "study1", "--grid", "0"]),
     ("audit-bounds", None, ["--preset", "study1", "--grid", "1"]),
+    # a negative tolerance fails bounds that hold to rounding
+    ("audit-bounds", None, ["--preset", "study1", "--grid", "5", "--tol", "-1"]),
     # shapes that do not fit the plant (n = 2, m = 1, q = 1) or the basis
     # (L = 6 weights)
     ("run", ("sim", "x0", [-3.0, 1.5, 0.0]), []),

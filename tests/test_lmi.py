@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import safeadp as sa
+from safeadp import lmi
 from safeadp.lmi import (MAX_VERTEX_DIM, LmiProblem, SearchParams,
                          assemble_lmi_matrix, synthesize_gains, verify_gains)
 
@@ -162,7 +165,6 @@ def test_certificate_json_roundtrip():
     problem = _zero_gap_problem(-3.0 * np.eye(2))
     cert = verify_gains(problem, np.eye(2), np.zeros((2, 1)),
                         np.zeros((2, 1)), np.zeros((2, 1)))
-    import json
     payload = json.loads(json.dumps(cert.to_json_dict()))
     assert payload["feasible"] is True
     assert "max_eigenvalue" in payload
@@ -310,3 +312,120 @@ def test_vertex_stack_is_not_shared_mutable_state():
     again = verify_gains(*args, mode="all_vertices")
     assert _hex(again.vertex_eigenvalues) == _hex(first.vertex_eigenvalues)
     assert again.worst_theta.tobytes() == first.worst_theta.tobytes()
+
+
+# ------------------------------------------ frozen one-candidate gain search
+# The gain search as it ran before candidates were evaluated in batches: one
+# candidate per iteration, its penalty from the per-theta loop above.  The
+# batched search must return the same gains and certificate bit for bit.
+
+def _frozen_project_pd(P):
+    P = 0.5 * (P + P.T)
+    ev, V = np.linalg.eigh(P)
+    return (V * np.maximum(ev, lmi.PD_FLOOR)) @ V.T
+
+
+def _frozen_penalty(problem, P, R, l1, l2, mode):
+    eigs, _, _, norm1, norm2 = _frozen_verify(problem, P, R, l1, l2, mode)
+    hinge = 100.0 * (max(0.0, norm1 - 1.0) + max(0.0, norm2 - 1.0))
+    return max(eigs) + hinge
+
+
+def _frozen_synthesize(problem, search, mode):
+    n, q = problem.n, problem.q
+    rng = np.random.default_rng(search.seed)
+    best = (np.eye(n), np.zeros((n, q)), np.zeros((n, q)), np.zeros((n, q)))
+    best_pen = _frozen_penalty(problem, *best, mode)
+    step = search.step
+    if best_pen > -search.tol:
+        for _ in range(search.budget):
+            P_c = _frozen_project_pd(best[0] + step * rng.standard_normal((n, n)))
+            R_c = best[1] + step * rng.standard_normal((n, q))
+            l1_c = best[2] + 0.1 * step * rng.standard_normal((n, q))
+            l2_c = best[3] + 0.1 * step * rng.standard_normal((n, q))
+            pen = _frozen_penalty(problem, P_c, R_c, l1_c, l2_c, mode)
+            if pen < best_pen:
+                best = (P_c, R_c, l1_c, l2_c)
+                best_pen = pen
+                step = min(step * 1.3, 10.0)
+            else:
+                step = max(step * 0.97, 1e-4)
+            if best_pen < -search.tol:
+                break
+    P, R, l1, l2 = best
+    l3 = np.linalg.solve(P, R)
+    cert = verify_gains(problem, P, R, l1, l2, mode=mode, tol=search.tol)
+    return P, l1, l2, l3, cert
+
+
+def _easy_instance(n, q, seed):
+    """A zero-gap stable plant that the search can make feasible at identity:
+    with a decay margin d = -A - alpha below 1/3, P = I is infeasible and a
+    P shrunk below 3d is not."""
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(0.0, 0.5)
+    A = (-(alpha + rng.uniform(0.05, 0.4)) * np.eye(n)
+         + 0.05 * rng.normal(size=(n, n)))
+    return _zero_gap_problem(A, alpha=alpha, C=rng.normal(size=(q, n)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.sampled_from([1, 2, 3]), q=st.sampled_from([1, 2]),
+       mode=st.sampled_from(["theta_identity", "all_vertices"]),
+       easy=st.booleans(),
+       budget=st.one_of(st.integers(0, 2 * lmi.BATCH + 1),
+                        st.sampled_from(["K-1", "K", "K+1"])),
+       step=st.floats(0.01, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_batched_search_matches_one_candidate_loop(n, q, mode, easy, budget,
+                                                   step, seed):
+    problem = (_easy_instance(n, q, seed) if easy
+               else _random_instance(n, q, seed)[1])
+    if isinstance(budget, str):     # around the candidates of one batch
+        thetas = 1 if mode == "theta_identity" else 2 ** (n * n)
+        K = max(1, min(lmi.BATCH, lmi.BATCH_MATRICES // thetas))
+        budget = K + {"K-1": -1, "K": 0, "K+1": 1}[budget]
+    search = SearchParams(budget=budget, step=step, seed=seed)
+    *arrays, cert = synthesize_gains(problem, search, mode=mode)
+    *frozen, frozen_cert = _frozen_synthesize(problem, search, mode)
+    assert [a.tobytes() for a in arrays] == [a.tobytes() for a in frozen]
+    assert json.dumps(cert.to_json_dict()) == \
+        json.dumps(frozen_cert.to_json_dict())
+
+
+def test_batched_search_stops_inside_a_batch(monkeypatch):
+    # P = I is infeasible here and the fifth candidate is not, so the search
+    # evaluates one batch and stops at its fifth candidate
+    problem = _zero_gap_problem(-0.4 * np.eye(2), alpha=0.1)
+    search = SearchParams(budget=lmi.BATCH, seed=1)
+    four = dataclasses.replace(search, budget=4)
+    assert not _frozen_synthesize(problem, four, "theta_identity")[-1].feasible
+    *frozen, frozen_cert = _frozen_synthesize(problem, search, "theta_identity")
+    sizes = []
+    top_eigenvalues = lmi._top_eigenvalues
+
+    def recorded(problem, P, *args):
+        sizes.append(len(P))
+        return top_eigenvalues(problem, P, *args)
+
+    monkeypatch.setattr(lmi, "_top_eigenvalues", recorded)
+    *arrays, cert = synthesize_gains(problem, search)
+    assert cert.feasible and frozen_cert.feasible
+    assert [a.tobytes() for a in arrays] == [a.tobytes() for a in frozen]
+    assert sizes == [1, lmi.BATCH, 1]
+
+
+def test_four_state_vertex_batch_holds_one_candidate(monkeypatch):
+    # 2^16 vertex matrices exceed the batch bound, so every evaluation
+    # assembles one candidate's vertices, as many matrices as before batching
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        sizes.append(a.shape[:-2])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(lmi.np.linalg, "eigvalsh", recorded)
+    _, problem, *_ = _random_instance(4, 1, 5)
+    synthesize_gains(problem, SearchParams(budget=2), mode="all_vertices")
+    # the start, two one-candidate batches and the final verification
+    assert sizes == [(1, 2 ** 16)] * 4
