@@ -13,9 +13,8 @@ from .model import (DomainSet, SystemModel, audit_jacobian_bounds,
                     augmented_dynamics, drift, effectiveness, vamvoudakis2d)
 from .observer import ObserverGains, error_envelope, observer_rhs
 from .presets import PRESET_NAMES, preset
-from .safety import (BarrierDomainError, SafetySpec, barrier_cost,
-                     barrier_cost_gradient, circular_obstacle, h_eval,
-                     lipschitz_audit, monitor_safety, parabola_interior)
+from .safety import (BarrierDomainError, SafetySpec, circular_obstacle,
+                     lipschitz_audit, parabola_interior)
 from .sim import ControlProblem, SimConfig, TrajectoryLog, run
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from .config import (ConfigError, RunConfig, _invalid, build_problem,
 from .model import audit_jacobian_bounds
 from .presets import PRESET_NAMES, preset
 from .safety import lipschitz_audit
-from .sim import run, safety_report
+from .sim import run
 
 EXIT_OK = 0
 EXIT_RUN_FAILED = 1
@@ -99,7 +99,7 @@ def cmd_run(args) -> int:
     _check_writable(out)
     try:
         log, summary = run(problem)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: a log too large
         print(json.dumps({"error": "run_error", "reason": str(exc)}))
         return EXIT_RUN_FAILED
     out.mkdir(parents=True, exist_ok=True)
@@ -109,10 +109,7 @@ def cmd_run(args) -> int:
     log.to_csv(out / "trajectory.csv")
     _write_plotdata(out, log)
 
-    payload = summary.to_json_dict()
-    report = safety_report(problem, log)
-    payload["safety"] = report.to_json_dict() if report else None
-    _write_json(out / "summary.json", payload)
+    _write_json(out / "summary.json", summary.to_json_dict())
     if summary.ok:
         print(f"run complete: {log.size} records, min h = {summary.min_h:.6g}, "
               f"terminal |x| = {np.linalg.norm(summary.terminal_x):.6g}")

@@ -237,10 +237,16 @@ class RunConfig:
             return replace(self, sim=replace(self.sim, **kw))
 
 
+def _nonfinite(name: str):
+    raise ConfigError(f"config: {name} is not a finite number")
+
+
 def load_config(path) -> RunConfig:
+    """The run config in the JSON file at path; NaN, Infinity and -Infinity,
+    which Python's json accepts, are rejected wherever they appear."""
     with open(path) as f:
         try:
-            raw = json.load(f)
+            raw = json.load(f, parse_constant=_nonfinite)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return RunConfig.from_dict(raw)

@@ -199,9 +199,11 @@ class SearchParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.budget < 0 or self.tol < 0 or self.step <= 0:
-            raise ValueError("search needs budget >= 0, tol >= 0 and step > 0, "
-                             f"got {self.budget}, {self.tol} and {self.step}")
+        if not (self.budget >= 0 and self.tol >= 0
+                and 0 < self.step < float("inf")):
+            raise ValueError("search needs budget >= 0, tol >= 0 and a finite "
+                             f"step > 0, got {self.budget}, {self.tol} and "
+                             f"{self.step}")
 
 
 PD_FLOOR = 1e-6     # smallest eigenvalue of a candidate P

@@ -11,7 +11,7 @@ the origin stays the minimizer.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -73,12 +73,6 @@ def circular_obstacle(center, radius: float, kappa: float, ell: float) -> Safety
                       name="circular_obstacle")
 
 
-def h_eval(spec: SafetySpec, x):
-    """Barrier value; nonnegative means safe."""
-    out = np.asarray(spec.h(np.asarray(x, float)), float)
-    return float(out) if out.ndim == 0 else out
-
-
 def _recenter_log(spec: SafetySpec, margin):
     """-(log of kappa*m/(kappa*m+1)); diverges as the margin vanishes."""
     return np.log1p(1.0 / (spec.kappa * np.asarray(margin, float)))
@@ -91,19 +85,6 @@ def _origin_term(spec: SafetySpec, state_dim: int):
     if h0 <= 0:
         raise BarrierDomainError("origin lies outside the safe set")
     return _recenter_log(spec, h0)
-
-
-def barrier_cost(spec: SafetySpec, zeta, use_envelope: bool = True,
-                 floor: float | None = None):
-    """Squared recentered log barrier on the augmented state.
-
-    The recentering constant is the log-barrier value at the origin with zero
-    envelope, so the cost vanishes at zeta = 0.  With `floor` set, margins
-    below it are clamped (extrapolation-grid use); without it, a nonpositive
-    margin raises BarrierDomainError.
-    """
-    val, _ = barrier_value_and_gradient(spec, zeta, use_envelope, floor)
-    return float(val) if val.ndim == 0 else val
 
 
 def barrier_value_and_gradient(spec: SafetySpec, zeta, use_envelope: bool = True,
@@ -138,13 +119,6 @@ def barrier_value_and_gradient(spec: SafetySpec, zeta, use_envelope: bool = True
     return val, grad
 
 
-def barrier_cost_gradient(spec: SafetySpec, zeta, use_envelope: bool = True,
-                          floor: float | None = None):
-    """Gradient of `barrier_cost` with respect to the augmented state."""
-    _, grad = barrier_value_and_gradient(spec, zeta, use_envelope, floor)
-    return grad
-
-
 def lipschitz_audit(spec: SafetySpec, domain: DomainSet, n_pairs: int = 1000,
                     seed: int = 0) -> dict:
     """Sampled check of |h(a)-h(b)| <= ell*||a-b|| on the simulation domain.
@@ -160,7 +134,7 @@ def lipschitz_audit(spec: SafetySpec, domain: DomainSet, n_pairs: int = 1000,
     b = rng.uniform(lo, hi, size=(n_pairs, n))
     dist = np.linalg.norm(a - b, axis=1)
     keep = dist > 1e-12
-    ratio = np.abs(h_eval(spec, a[keep]) - h_eval(spec, b[keep])) / dist[keep]
+    ratio = np.abs(spec.h(a[keep]) - spec.h(b[keep])) / dist[keep]
     worst = float(ratio.max())
     return {
         "configured_ell": spec.ell,
@@ -168,49 +142,3 @@ def lipschitz_audit(spec: SafetySpec, domain: DomainSet, n_pairs: int = 1000,
         "ok": bool(worst <= spec.ell),
         "n_pairs": int(keep.sum()),
     }
-
-
-@dataclass
-class SafetyReport:
-    min_h: float
-    min_h_time: float
-    min_robust_margin: float
-    first_violation_time: float | None
-    first_margin_violation_time: float | None
-
-    @property
-    def violated(self) -> bool:
-        return self.first_violation_time is not None
-
-    def to_json_dict(self) -> dict:
-        return {**asdict(self), "violated": self.violated}
-
-
-def monitor_safety(spec: SafetySpec, t, x, x_hat=None, envelope=None) -> SafetyReport:
-    """Scan a logged trajectory for barrier violations.
-
-    Reports the minimum of h along the true state, the minimum robustified
-    margin along the estimate (when estimate and envelope are given), and the
-    first violation times if any.
-    """
-    t = np.asarray(t, float)
-    hx = np.atleast_1d(h_eval(spec, np.asarray(x, float)))
-    i_min = int(np.argmin(hx))
-    viol = np.nonzero(hx < 0)[0]
-    first_viol = float(t[viol[0]]) if viol.size else None
-
-    if x_hat is not None and envelope is not None:
-        margin = np.atleast_1d(h_eval(spec, np.asarray(x_hat, float))) \
-            - spec.ell * np.asarray(envelope, float)
-        mviol = np.nonzero(margin < 0)[0]
-        first_mviol = float(t[mviol[0]]) if mviol.size else None
-        min_margin = float(margin.min())
-    else:
-        first_mviol = None
-        min_margin = float("nan")
-
-    return SafetyReport(
-        min_h=float(hx[i_min]), min_h_time=float(t[i_min]),
-        min_robust_margin=min_margin,
-        first_violation_time=first_viol,
-        first_margin_violation_time=first_mviol)

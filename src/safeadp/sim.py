@@ -19,7 +19,7 @@ from .critic import (CONTROLLER_MODES, Basis, CriticEvaluator,
 from .model import ModelEvaluationError, SystemModel, drift, effectiveness
 from .observer import (ObserverEvaluationError, ObserverGains, error_envelope,
                        observer_rhs)
-from .safety import BarrierDomainError, SafetySpec, monitor_safety
+from .safety import BarrierDomainError, SafetySpec
 
 EPS0_SLACK = 1.02   # relative slack on the initial-error bound check
 GAIN_FLOOR = 1e-8   # smallest eigenvalue the critic gain matrix may reach
@@ -47,10 +47,11 @@ class SimConfig:
     def __post_init__(self):
         if isinstance(self.Gamma0, str) and self.Gamma0 != "identity":
             raise ValueError("Gamma0 must be 'identity' or a matrix")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.T < 0:
-            raise ValueError("horizon must be nonnegative")
+        # written so that NaN fails them
+        if not 0 < self.dt < float("inf"):
+            raise ValueError("dt must be positive and finite")
+        if not 0 <= self.T < float("inf"):
+            raise ValueError("horizon must be nonnegative and finite")
         if self.T > 0 and self.T <= self.dt:
             raise ValueError("horizon must exceed the step size")
         if self.controller_mode not in CONTROLLER_MODES:
@@ -148,6 +149,7 @@ class RunSummary:
     monitor_events: list = field(default_factory=list)
     abort_reason: str | None = None
     certificate_file: str | None = None
+    safety: dict | None = None
 
     @property
     def ok(self) -> bool:
@@ -236,6 +238,22 @@ def _rk4_step(rhs, dt: float, t: float, x, x_hat, weights, gain, k1=None):
     if not all(np.isfinite(v).all() for v in (x_new, xh_new, w_new, g_new)):
         raise FloatingPointError(f"integration diverged at t={t:.6g}")
     return x_new, xh_new, w_new, g_new, asym, g_eig
+
+
+def _safety(log: TrajectoryLog) -> dict:
+    """Minimum and first violation of h and of the robust margin, read off
+    the logged rows."""
+    def first_negative(v):
+        i = np.flatnonzero(v < 0)
+        return float(log.t[i[0]]) if i.size else None
+
+    i_min = int(np.argmin(log.h))
+    breach = first_negative(log.h)
+    return {"min_h": float(log.h[i_min]), "min_h_time": float(log.t[i_min]),
+            "min_robust_margin": float(np.min(log.h_robust)),
+            "first_violation_time": breach,
+            "first_margin_violation_time": first_negative(log.h_robust),
+            "violated": breach is not None}
 
 
 def _event(name: str, t: float, detail: str) -> dict:
@@ -367,11 +385,6 @@ def run(problem: ControlProblem) -> tuple[TrajectoryLog, RunSummary]:
         excitation_min=float(np.min(log.excitation)) if log.size else float("nan"),
         steps=int(k),
         dt=cfg.dt, T=cfg.T, controller_mode=cfg.controller_mode,
-        monitor_events=events, abort_reason=abort_reason)
+        monitor_events=events, abort_reason=abort_reason,
+        safety=_safety(log) if spec is not None and log.size else None)
     return log, summary
-
-
-def safety_report(problem: ControlProblem, log: TrajectoryLog):
-    if problem.spec is None or log.size == 0:
-        return None
-    return monitor_safety(problem.spec, log.t, log.x, log.x_hat, log.envelope)

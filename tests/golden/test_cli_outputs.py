@@ -2,8 +2,9 @@
 
 `trajectory.csv` beyond its first columns, `plotdata/*.csv` and the content of
 `certificate.json` are checked nowhere else.  The cases are a full run with a
-certificate, a run without an observer, `verify-lmi`, and a run that aborts at
-step 0, whose CSV files hold only their header rows.  The JSON dump of every
+certificate, a run without an observer, a run without a barrier that leaves
+the safe set (so the summary's violation times are not null), `verify-lmi`,
+and a run that aborts at step 0, whose CSV files hold only their header rows.  The JSON dump of every
 preset (`safeadp presets --name <p>`) is hashed as well, so the accepted
 config schema and the preset values cannot drift.  Regenerate the stored file
 only in a change that deliberately alters an output, and say so in CHANGES.md:
@@ -42,6 +43,8 @@ CASES = {
                                         "--horizon", "0.05"]),
     "run_lq_oracle": (0, lambda tmp: ["run", "--preset", "lq_oracle",
                                       "--horizon", "0.05"]),
+    "run_study2_nocbf": (0, lambda tmp: ["run", "--preset", "study2_nocbf",
+                                         "--horizon", "0.3"]),
     "verify_lmi_study1": (0, lambda tmp: ["verify-lmi", "--preset", "study1"]),
     "run_step0_abort": (1, lambda tmp: ["run", "--config",
                                         _abort_config(tmp)]),

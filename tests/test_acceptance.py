@@ -11,8 +11,8 @@ import safeadp as sa
 from safeadp.cli import main
 from safeadp.critic import LearningConfig, quadratic_basis_2d
 from safeadp.lmi import LmiProblem, assemble_lmi_matrix, verify_gains
-from safeadp.safety import (barrier_cost, barrier_cost_gradient,
-                            circular_obstacle, parabola_interior)
+from safeadp.safety import (barrier_value_and_gradient, circular_obstacle,
+                            parabola_interior)
 
 OBSTACLE_CENTER = np.array([-0.5, 0.6])
 OBSTACLE_RADIUS = 0.2
@@ -46,18 +46,16 @@ def test_a2_study2_obstacle_avoidance(study2_run, study2_nocbf_run):
     dist = np.linalg.norm(log.x - OBSTACLE_CENTER, axis=1)
     clearance_ok = study2_run.summary.ok and float(dist.min()) >= OBSTACLE_RADIUS
 
-    nlog = study2_nocbf_run.log
-    report = sa.monitor_safety(circular_obstacle(OBSTACLE_CENTER,
-                                                 OBSTACLE_RADIUS, 2.5, 0.15),
-                               nlog.t, nlog.x)
-    breach_ok = (study2_nocbf_run.summary.ok and report.violated
+    nlog, nsafety = study2_nocbf_run.log, study2_nocbf_run.summary.safety
+    breach_ok = (study2_nocbf_run.summary.ok and nsafety["violated"]
                  and float(nlog.h.min()) < 0.0)
     ok = (clearance_ok and breach_ok and study2_run.wall <= 60.0
           and study2_nocbf_run.wall <= 60.0
           and float(np.max(np.abs(log.u))) < 10.0)
     _report("A2", ok,
             f"min dist = {dist.min():.4f} (robust), baseline min h = "
-            f"{nlog.h.min():.4f} breached at t = {report.first_violation_time}")
+            f"{nlog.h.min():.4f} breached at t = "
+            f"{nsafety['first_violation_time']}")
 
 
 def test_a3_observer_envelope(study1_run, study2_run):
@@ -150,12 +148,13 @@ def test_a6_gradient_checks():
             zeta = sample()
             if spec.h(zeta[:2]) - spec.ell * zeta[2] < 0.05:
                 continue
-            grad = barrier_cost_gradient(spec, zeta)
+            _, grad = barrier_value_and_gradient(spec, zeta)
             for i in range(3):
                 step = np.zeros(3)
                 step[i] = eps
-                fd = (barrier_cost(spec, zeta + step)
-                      - barrier_cost(spec, zeta - step)) / (2 * eps)
+                up, _ = barrier_value_and_gradient(spec, zeta + step)
+                down, _ = barrier_value_and_gradient(spec, zeta - step)
+                fd = (up - down) / (2 * eps)
                 worst = max(worst, rel_err(grad[i], fd))
             checked += 1
 

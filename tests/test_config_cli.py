@@ -360,6 +360,18 @@ def test_cli_run_initial_error_beyond_slack(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_run_oversized_log_is_a_run_error(tmp_path, capsys):
+    # 1e17 steps: the preallocated log needs more memory than any address
+    # space holds, so numpy refuses it at once on every machine
+    out = tmp_path / "o"
+    code = main(["run", "--preset", "study1", "--horizon", "1e14",
+                 "--out", str(out)])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["error"] == "run_error"
+    assert not out.exists()
+
+
 def test_cli_run_nonfinite_plant_is_machine_readable(tmp_path, capsys,
                                                      monkeypatch):
     # a registered plant whose drift turns NaN where x1 > 1.1, which the
@@ -461,6 +473,16 @@ INVALID_VALUES = [
     ("run", (SYNTHESIZE, ("observer.synthesis", "tol", -100.0)), HORIZON),
     ("run", (SYNTHESIZE, ("observer.synthesis", "budget", -5)), HORIZON),
     ("run", (SYNTHESIZE, ("observer.synthesis", "step", 0.0)), HORIZON),
+    # non-finite numbers, from a flag or as a JSON NaN/Infinity constant,
+    # which json.dumps writes and Python's json reads
+    ("run", None, ["--preset", "study1", "--horizon", "inf"]),
+    ("run", None, ["--preset", "study1", "--horizon", "nan"]),
+    ("run", None, ["--preset", "study1", "--dt", "nan"]),
+    ("synthesize", None, ["--preset", "study1", "--tol", "nan",
+                          "--budget", "5"]),
+    ("synthesize", None, ["--preset", "study1", "--step", "inf",
+                          "--budget", "5"]),
+    ("verify-lmi", ("observer", "alpha", float("nan")), []),
 ]
 
 

@@ -12,7 +12,8 @@ from safeadp.critic import (LearningConfig, bellman_error,
                             extrapolation_terms, quadratic_basis_2d,
                             saturated_policy, saturation_penalty,
                             _saturation_penalty_preact)
-from safeadp.safety import BarrierDomainError, parabola_interior
+from safeadp.safety import (BarrierDomainError, barrier_value_and_gradient,
+                            parabola_interior)
 
 BASIS = quadratic_basis_2d()
 ROBUST = "rlcbf"
@@ -225,9 +226,9 @@ def test_bellman_decomposition_without_policy_term(study_model):
     # gradB . F + state cost + barrier
     cfg = _learn()
     zeta = np.array([0.4, 0.0, 0.3])          # x2 = 0 kills the g-component
-    gB = sa.barrier_cost_gradient(SPEC1, zeta)
+    B, gB = barrier_value_and_gradient(SPEC1, zeta)
     F = np.array([*sa.drift(study_model, zeta[:2]), -2.0 * zeta[2]])
-    expected = float(gB @ F) + 0.16 + sa.barrier_cost(SPEC1, zeta)
+    expected = float(gB @ F) + 0.16 + float(B)
     val = bellman_error(study_model, BASIS, SPEC1, ROBUST, cfg, zeta,
                         np.zeros(6), alpha=2.0)
     assert val == pytest.approx(expected, rel=1e-12)
