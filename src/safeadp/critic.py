@@ -74,10 +74,10 @@ class LearningConfig:
         object.__setattr__(self, "R_u", np.atleast_2d(np.asarray(self.R_u, float)))
         object.__setattr__(self, "Q", np.atleast_2d(np.asarray(self.Q, float)))
         object.__setattr__(self, "points", np.atleast_2d(np.asarray(self.points, float)))
-        if self.k_c <= 0 or self.gamma_c <= 0 or self.beta < 0:
+        if not (self.k_c > 0 and self.gamma_c > 0 and self.beta >= 0):
             raise ValueError("adaptation and normalization gains must be "
                              "positive, forgetting factor nonnegative")
-        if self.u_bar <= 0:
+        if not self.u_bar > 0:
             raise ValueError("saturation level must be positive")
         d = np.diag(self.R_u)
         if np.any(d <= 0) or np.any(self.R_u != np.diag(d)):

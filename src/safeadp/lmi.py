@@ -44,7 +44,7 @@ class LmiProblem:
     def __post_init__(self):
         for attr in ("C", "Kf1", "Kf2", "Kg1", "Kg2"):
             object.__setattr__(self, attr, np.asarray(getattr(self, attr), float))
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError("decay rate must be nonnegative")
         n = self.Kf1.shape[0]
         for attr in ("Kf1", "Kf2", "Kg1", "Kg2"):
@@ -154,13 +154,10 @@ def _thetas(problem: LmiProblem, mode: str) -> np.ndarray:
             else problem.theta_vertices())
 
 
-def _top_eigenvalues(problem: LmiProblem, P, R_lmi, l1, l2, mode: str):
-    """(thetas, top eigenvalues, injection norms) of a stack of K candidates.
-
-    P is (K, n, n) and R_lmi, l1, l2 are (K, n, q).  The eigenvalues are
-    (K, len(thetas)) and the norms (K, 2): |l1 C| and |l2 C| per candidate.
-    """
-    thetas = _thetas(problem, mode)
+def _top_eigenvalues(problem: LmiProblem, P, R_lmi, l1, l2, thetas):
+    """(top eigenvalues, injection norms) of K candidates at T thetas: P is
+    (K, n, n), R_lmi, l1 and l2 are (K, n, q) and thetas is (T, n, n).  The
+    eigenvalues are (K, T) and the norms (K, 2), |l1 C| and |l2 C|."""
     P = np.asarray(P, float)
     shape = P.shape[:-2] + (problem.n, problem.q)
     l1 = np.asarray(l1, float).reshape(shape)
@@ -170,7 +167,7 @@ def _top_eigenvalues(problem: LmiProblem, P, R_lmi, l1, l2, mode: str):
                           compute_uv=False).max(axis=-1)
     eigs = np.linalg.eigvalsh(
         assemble_lmi_matrix(problem, P, R_lmi, l1, l2, thetas))[..., -1]
-    return thetas, eigs, norms
+    return eigs, norms
 
 
 def verify_gains(problem: LmiProblem, P, R_lmi, l1, l2,
@@ -178,8 +175,9 @@ def verify_gains(problem: LmiProblem, P, R_lmi, l1, l2,
                  tol: float = FEASIBILITY_TOL) -> LmiCertificate:
     """Check negativity of the verification matrix and the injection-norm caps
     in one of the VERIFY_MODES."""
-    thetas, eigs, norms = _top_eigenvalues(
-        problem, np.asarray(P, float)[None], R_lmi, l1, l2, mode)
+    thetas = _thetas(problem, mode)
+    eigs, norms = _top_eigenvalues(
+        problem, np.asarray(P, float)[None], R_lmi, l1, l2, thetas)
     eigs = eigs[0].tolist()
     norm1, norm2 = norms[0].tolist()
     worst = int(np.argmax(eigs))
@@ -221,12 +219,31 @@ def _project_pd(P: np.ndarray) -> np.ndarray:
     return (V * np.maximum(ev, PD_FLOOR)[..., None, :]) @ np.swapaxes(V, -1, -2)
 
 
-def _penalties(problem: LmiProblem, P, R, l1, l2, mode: str) -> list[float]:
-    """Search penalty of each candidate of a stack: the top eigenvalue over
-    the mode's thetas plus a hinge on the injection norms."""
-    _, eigs, norms = _top_eigenvalues(problem, P, R, l1, l2, mode)
-    return [max(top) + 100.0 * (max(0.0, norm1 - 1.0) + max(0.0, norm2 - 1.0))
-            for top, (norm1, norm2) in zip(eigs.tolist(), norms.tolist())]
+def _penalties(problem: LmiProblem, P, R, l1, l2, thetas, bound=np.inf,
+               probe: int = 0):
+    """Search penalty of each candidate of a stack (the top eigenvalue over
+    thetas plus a hinge on the injection norms) and the theta index where it
+    peaks.  With several thetas and a finite bound, each candidate is first
+    evaluated at thetas[probe] alone, a lower bound on its penalty; one whose
+    lower bound is >= bound is pruned, with that lower bound as its entry and
+    None as its index.  The others are evaluated at every theta, bit for bit
+    as if unpruned."""
+    def penalty(top, norms):
+        return max(top) + 100.0 * (max(0.0, norms[0] - 1.0)
+                                   + max(0.0, norms[1] - 1.0))
+
+    pens, worst, live = [None] * len(P), [None] * len(P), range(len(P))
+    if len(thetas) > 1 and bound < np.inf:
+        eigs, norms = _top_eigenvalues(problem, P, R, l1, l2,
+                                       thetas[probe:probe + 1])
+        pens = list(map(penalty, eigs.tolist(), norms.tolist()))
+        live = [i for i, pen in enumerate(pens) if pen < bound]
+        P, R, l1, l2 = (a[live] for a in (P, R, l1, l2))
+    if len(live):
+        eigs, norms = _top_eigenvalues(problem, P, R, l1, l2, thetas)
+        for i, top, norm in zip(live, eigs.tolist(), norms.tolist()):
+            pens[i], worst[i] = penalty(top, norm), top.index(max(top))
+    return pens, worst
 
 
 def synthesize_gains(problem: LmiProblem, search: SearchParams = SearchParams(),
@@ -244,43 +261,46 @@ def synthesize_gains(problem: LmiProblem, search: SearchParams = SearchParams(),
     success and shrinking it otherwise.  The candidates of the next BATCH
     iterations are evaluated together, on the guess that none of them is
     accepted; the first accepted one ends the batch, and the noise drawn for
-    the candidates after it is used by the next batch.  The result is that of
-    evaluating one candidate at a time.
+    the candidates after it is used by the next batch.  A batch's noise is
+    drawn in one call, row by row in the order of the one-candidate loop, and
+    with several thetas only the candidates not already rejected at the best
+    point's peak theta are evaluated at all of them.  The result is that of
+    evaluating one candidate at a time at every theta.
     """
     n, q = problem.n, problem.q
     rng = np.random.default_rng(search.seed)
-    batch = max(1, min(BATCH, BATCH_MATRICES // len(_thetas(problem, mode))))
+    thetas = _thetas(problem, mode)
+    batch = max(1, min(BATCH, BATCH_MATRICES // len(thetas)))
 
     best = (np.eye(n), np.zeros((n, q)), np.zeros((n, q)), np.zeros((n, q)))
-    [best_pen] = _penalties(problem, *(b[None] for b in best), mode)
+    [best_pen], [probe] = _penalties(problem, *(b[None] for b in best), thetas)
     step = search.step
-    # the P, R_lmi, l1 and l2 perturbations of the next iterations; the first
-    # `drawn` rows hold noise that no candidate has used yet
-    noise = [np.empty((batch, n, n))] + [np.empty((batch, n, q))
-                                         for _ in range(3)]
+    # one row per iteration: its P, R_lmi, l1 and l2 perturbations, raveled;
+    # the first `drawn` rows hold noise that no candidate has used yet
+    noise = np.empty((batch, n * n + 3 * n * q))
+    parts = [d.reshape(batch, n, -1) for d in np.split(
+        noise, [n * n, n * n + n * q, n * n + 2 * n * q], axis=1)]
     drawn = 0
     left = search.budget if best_pen > -search.tol else 0
     while left > 0:
         k = min(batch, left)
-        for row in range(drawn, k):
-            for d in noise:
-                rng.standard_normal(out=d[row])
+        rng.standard_normal(out=noise[drawn:k])
         steps = [step]      # the steps if every candidate is rejected
         for _ in range(k):
             steps.append(max(steps[-1] * 0.97, 1e-4))
         s = np.array(steps[:k])[:, None, None]
-        dP, dR, d1, d2 = (d[:k] for d in noise)
+        dP, dR, d1, d2 = (d[:k] for d in parts)
         cands = (_project_pd(best[0] + s * dP), best[1] + s * dR,
                  best[2] + 0.1 * s * d1, best[3] + 0.1 * s * d2)
-        pens = _penalties(problem, *cands, mode)
+        pens, worst = _penalties(problem, *cands, thetas, best_pen, probe)
         j = next((j for j, pen in enumerate(pens) if pen < best_pen), None)
         if j is None:
             used, step = k, steps[k]
         else:
             used, step = j + 1, min(steps[j] * 1.3, 10.0)
-            best, best_pen = tuple(c[j] for c in cands), pens[j]
-        for d in noise:
-            d[:k - used] = d[used:k]
+            best = tuple(c[j] for c in cands)
+            best_pen, probe = pens[j], worst[j]
+        noise[:k - used] = noise[used:k]
         drawn = k - used
         left = 0 if best_pen < -search.tol else left - used
 

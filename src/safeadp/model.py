@@ -32,7 +32,7 @@ class DomainSet:
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, float))
         hw = np.asarray(self.halfwidths, float)
-        if np.any(hw <= 0):
+        if not np.all(hw > 0):
             raise ValueError("box halfwidths must be positive")
         object.__setattr__(self, "halfwidths", hw)
 
@@ -78,7 +78,7 @@ class SystemModel:
                 raise ValueError(f"{attr} must be {(self.n, self.n)}")
         if np.any(self.Kf1 > self.Kf2) or np.any(self.Kg1 > self.Kg2):
             raise ValueError("lower Jacobian bounds exceed upper bounds")
-        if self.u_bar <= 0:
+        if not self.u_bar > 0:
             raise ValueError("saturation level must be positive")
         if self.domain.dim != self.n:
             raise ValueError("domain dimension does not match state dimension")

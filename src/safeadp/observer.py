@@ -43,9 +43,9 @@ class ObserverGains:
         for attr in ("l1", "l2", "l3"):     # n rows of q, as the LMI reads them
             object.__setattr__(self, attr, np.asarray(
                 getattr(self, attr), float).reshape(len(P), -1))
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError("decay rate must be positive")
-        if self.eps0 <= 0:
+        if not self.eps0 > 0:
             raise ValueError("initial error bound must be positive")
         if not np.allclose(P, P.T, atol=1e-12):
             raise ValueError("P must be symmetric")

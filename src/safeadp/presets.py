@@ -27,45 +27,44 @@ STUDY2_L2 = (0.15735, 0.15735)
 TUNED_L3 = (-10.0, 9.0)
 
 WC0 = (0.5, 1.0, 0.8, 0.1, 0.1, 0.1)
+STUDY_BOUNDS = {"ultimate_bound_x": 0.1, "ultimate_bound_err": 0.05}
 
 
-def _study1() -> RunConfig:
+def _benchmark_plant(box: float, observer: ObserverConfig,
+                     safety: SafetyConfig, points: PointsConfig, x0, x_hat0,
+                     u_bar: float = 10.0, point_envelope: str = "zero",
+                     **sim) -> RunConfig:
+    """A run of the benchmark plant with the learning gains, initial weights,
+    step and horizon that every preset shares; sim holds the other sim keys."""
     return RunConfig(
-        model=ModelConfig(name="vamvoudakis2d", u_bar=10.0, box_halfwidth=3.0),
-        observer=ObserverConfig(
-            alpha=2.0, eps0=2.5,
-            gains=GainsConfig(P=STUDY1_P, l1=STUDY1_L1, l2=STUDY1_L2,
-                              l3=TUNED_L3)),
-        safety=SafetyConfig(kind="parabola_interior", kappa=0.01, ell=0.1),
+        model=ModelConfig(name="vamvoudakis2d", u_bar=u_bar, box_halfwidth=box),
+        observer=observer, safety=safety,
         learning=LearningSettings(
             k_c=5.0, gamma_c=1.0, beta=0.01,
             R_u=((1.0,),), Q=((1.0, 0.0), (0.0, 1.0)),
-            points=PointsConfig(kind="grid", halfwidth=0.25, per_axis=10),
-            point_envelope="zero"),
-        sim=SimConfig(dt=1e-3, T=10.0, x0=(-3.0, 1.5), x_hat0=(-1.5, 1.0),
-                      Wc0=WC0, controller_mode="rlcbf",
-                      ultimate_bound_x=0.1, ultimate_bound_err=0.05))
+            points=points, point_envelope=point_envelope),
+        sim=SimConfig(dt=1e-3, T=10.0, x0=x0, x_hat0=x_hat0, Wc0=WC0, **sim))
+
+
+def _study1() -> RunConfig:
+    return _benchmark_plant(
+        3.0, ObserverConfig(alpha=2.0, eps0=2.5, gains=GainsConfig(
+            P=STUDY1_P, l1=STUDY1_L1, l2=STUDY1_L2, l3=TUNED_L3)),
+        SafetyConfig(kind="parabola_interior", kappa=0.01, ell=0.1),
+        PointsConfig(kind="grid", halfwidth=0.25, per_axis=10),
+        (-3.0, 1.5), (-1.5, 1.0), **STUDY_BOUNDS)
 
 
 def _study2() -> RunConfig:
     center = (-0.5, 0.6)
-    return RunConfig(
-        model=ModelConfig(name="vamvoudakis2d", u_bar=10.0, box_halfwidth=2.0),
-        observer=ObserverConfig(
-            alpha=2.0, eps0=0.7,
-            gains=GainsConfig(P=STUDY2_P, l1=STUDY2_L1, l2=STUDY2_L2,
-                              l3=TUNED_L3)),
-        safety=SafetyConfig(kind="circular_obstacle", kappa=2.5, ell=0.15,
-                            center=center, radius=0.2),
-        learning=LearningSettings(
-            k_c=5.0, gamma_c=1.0, beta=0.01,
-            R_u=((1.0,),), Q=((1.0, 0.0), (0.0, 1.0)),
-            points=PointsConfig(kind="grid", halfwidth=1.0, per_axis=10,
-                                repel_center=center, repel_radius=0.5),
-            point_envelope="zero"),
-        sim=SimConfig(dt=1e-3, T=10.0, x0=(-1.0, 1.0), x_hat0=(-1.5, 1.5),
-                      Wc0=WC0, controller_mode="rlcbf",
-                      ultimate_bound_x=0.1, ultimate_bound_err=0.05))
+    return _benchmark_plant(
+        2.0, ObserverConfig(alpha=2.0, eps0=0.7, gains=GainsConfig(
+            P=STUDY2_P, l1=STUDY2_L1, l2=STUDY2_L2, l3=TUNED_L3)),
+        SafetyConfig(kind="circular_obstacle", kappa=2.5, ell=0.15,
+                     center=center, radius=0.2),
+        PointsConfig(kind="grid", halfwidth=1.0, per_axis=10,
+                     repel_center=center, repel_radius=0.5),
+        (-1.0, 1.0), (-1.5, 1.5), **STUDY_BOUNDS)
 
 
 def _lq_oracle() -> RunConfig:
@@ -76,20 +75,14 @@ def _lq_oracle() -> RunConfig:
     0.5 x1^2 + x2^2 solves the optimality equation of the benchmark plant with
     unit quadratic costs exactly.
     """
-    return RunConfig(
-        model=ModelConfig(name="vamvoudakis2d", u_bar=100.0, box_halfwidth=3.0),
-        observer=ObserverConfig(
-            alpha=2.0, eps0=2.5, enabled=False,
-            gains=GainsConfig(P=STUDY1_P, l1=(0.0, 0.0), l2=(0.0, 0.0),
-                              l3=(0.0, 0.0))),
-        safety=SafetyConfig(kind="none"),
-        learning=LearningSettings(
-            k_c=5.0, gamma_c=1.0, beta=0.01,
-            R_u=((1.0,),), Q=((1.0, 0.0), (0.0, 1.0)),
-            points=PointsConfig(kind="grid", halfwidth=1.0, per_axis=10),
-            point_envelope="live"),
-        sim=SimConfig(dt=1e-3, T=10.0, x0=(-1.0, 1.0), x_hat0=(-1.0, 1.0),
-                      Wc0=WC0, controller_mode="none"))
+    return _benchmark_plant(
+        3.0, ObserverConfig(alpha=2.0, eps0=2.5, enabled=False,
+                            gains=GainsConfig(P=STUDY1_P, l1=(0.0, 0.0),
+                                              l2=(0.0, 0.0), l3=(0.0, 0.0))),
+        SafetyConfig(kind="none"),
+        PointsConfig(kind="grid", halfwidth=1.0, per_axis=10),
+        (-1.0, 1.0), (-1.0, 1.0), u_bar=100.0, point_envelope="live",
+        controller_mode="none")
 
 
 _BUILDERS = {

@@ -34,7 +34,7 @@ class SafetySpec:
     name: str = "custom"
 
     def __post_init__(self):
-        if self.ell <= 0 or self.kappa <= 0:
+        if not (self.ell > 0 and self.kappa > 0):
             raise ValueError("ell and kappa must be positive")
 
 
@@ -59,7 +59,7 @@ def parabola_interior(kappa: float, ell: float) -> SafetySpec:
 def circular_obstacle(center, radius: float, kappa: float, ell: float) -> SafetySpec:
     """Safe set outside a disk: h(x) = ||x - center||^2 - radius^2."""
     center = np.asarray(center, float)
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("obstacle radius must be positive")
 
     def h(x):

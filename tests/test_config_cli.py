@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from safeadp.cli import main
-from safeadp.config import ConfigError, RunConfig, grid_points, load_config
+from safeadp.config import (ConfigError, RunConfig, build_problem, grid_points,
+                            load_config)
 from safeadp.model import MODEL_REGISTRY, vamvoudakis2d
 from safeadp.presets import PRESET_NAMES, preset
 
@@ -511,3 +512,36 @@ def test_cli_invalid_value_is_a_config_error(tmp_path, capsys, command, edit,
     assert json.loads(err.strip().splitlines()[-1])["error"] == "config_error"
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# (preset, section, key): a range check that NaN must fail, for configs that
+# arrive as a dict and never meet load_config's rejection of NaN literals
+NAN_FIELDS = [
+    ("study1", "observer", "alpha"),
+    ("study1", "observer", "eps0"),
+    ("study1", "safety", "ell"),
+    ("study1", "safety", "kappa"),
+    ("study2", "safety", "radius"),
+    ("study1", "model", "u_bar"),
+    ("study1", "model", "box_halfwidth"),
+    ("study1", "learning", "k_c"),
+    ("study1", "learning", "gamma_c"),
+    ("study1", "learning", "beta"),
+]
+
+
+@pytest.mark.parametrize("name, section, key", NAN_FIELDS,
+                         ids=[f"{s}.{k}" for _, s, k in NAN_FIELDS])
+def test_nan_field_is_a_config_error(name, section, key):
+    raw = preset(name).to_dict()
+    raw[section][key] = float("nan")
+    with pytest.raises(ConfigError, match=section):
+        build_problem(RunConfig.from_dict(raw))
+
+
+def test_nan_decay_rate_stops_gain_synthesis():
+    # with synthesized gains the decay rate reaches the LMI problem first
+    raw = preset("study1").to_dict()
+    raw["observer"].update(alpha=float("nan"), gains="synthesize")
+    with pytest.raises(ConfigError, match="observer: decay rate"):
+        build_problem(RunConfig.from_dict(raw))

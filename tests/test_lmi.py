@@ -92,6 +92,11 @@ def test_verify_all_vertices_rejects_zero_vertex():
     assert zero_eig > 0
 
 
+def test_nan_decay_rate_is_rejected():
+    with pytest.raises(ValueError, match="decay rate"):
+        _zero_gap_problem(-3.0 * np.eye(2), alpha=float("nan"))
+
+
 def test_vertex_enumeration_refuses_large_state(monkeypatch):
     # n = 5 would enumerate 2^25 matrices; the cap must fire before any
     # vertex is built
@@ -416,7 +421,8 @@ def test_batched_search_stops_inside_a_batch(monkeypatch):
 
 def test_four_state_vertex_batch_holds_one_candidate(monkeypatch):
     # 2^16 vertex matrices exceed the batch bound, so every evaluation
-    # assembles one candidate's vertices, as many matrices as before batching
+    # assembles one candidate at one probe vertex or at all of its vertices,
+    # never more matrices than before batching
     sizes = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -427,5 +433,73 @@ def test_four_state_vertex_batch_holds_one_candidate(monkeypatch):
     monkeypatch.setattr(lmi.np.linalg, "eigvalsh", recorded)
     _, problem, *_ = _random_instance(4, 1, 5)
     synthesize_gains(problem, SearchParams(budget=2), mode="all_vertices")
-    # the start, two one-candidate batches and the final verification
-    assert sizes == [(1, 2 ** 16)] * 4
+    assert sizes[0] == sizes[-1] == (1, 2 ** 16)
+    assert set(sizes) <= {(1, 1), (1, 2 ** 16)}
+
+
+# ------------------------------------------------ probe prune of the search
+
+def _study_problem(name):
+    cfg = sa.preset(name)
+    return LmiProblem.from_model(cfg.model.build(), cfg.observer.alpha)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 2, 3]), q=st.sampled_from([1, 2]),
+       count=st.integers(1, 9), probe=st.integers(0, 2**9 - 1),
+       quantile=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_probe_prune_is_exact(n, q, count, probe, quantile, seed):
+    # a pruned candidate's full penalty is at least the bound, so it could
+    # not have been accepted; a survivor's penalty and peak are unchanged
+    rng, problem, *_ = _random_instance(n, q, seed)
+    thetas = problem.theta_vertices()
+    P = rng.normal(size=(count, n, n))
+    P = P @ np.swapaxes(P, -1, -2) + 0.1 * np.eye(n)
+    R = rng.normal(size=(count, n, q))
+    l1, l2 = (0.5 * rng.normal(size=(count, n, q)) for _ in range(2))
+    full, peaks = lmi._penalties(problem, P, R, l1, l2, thetas)
+    assert None not in peaks
+    bound = float(np.quantile(full, quantile))
+    pens, worst = lmi._penalties(problem, P, R, l1, l2, thetas, bound,
+                                 probe % len(thetas))
+    for pen, peak, unpruned, unpruned_peak in zip(pens, worst, full, peaks):
+        if peak is None:
+            assert pen >= bound and unpruned >= pen
+        else:
+            assert pen.hex() == unpruned.hex() and peak == unpruned_peak
+
+
+def test_vertex_search_skips_most_vertex_matrices(monkeypatch):
+    matrices, candidates = [], []
+    eigvalsh, penalties = np.linalg.eigvalsh, lmi._penalties
+
+    def counted_eigvalsh(a, *args, **kwargs):
+        matrices.append(int(np.prod(a.shape[:-2])))
+        return eigvalsh(a, *args, **kwargs)
+
+    def counted_penalties(problem, P, *args):
+        candidates.append(len(P))
+        return penalties(problem, P, *args)
+
+    monkeypatch.setattr(lmi.np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(lmi, "_penalties", counted_penalties)
+    search = SearchParams(seed=0)
+    *_, cert = synthesize_gains(_study_problem("study1"), search,
+                                mode="all_vertices")
+    # no candidate is feasible at every vertex, so the search spends its
+    # whole budget, and its batches evaluate some candidates more
+    assert not cert.feasible and sum(candidates) > search.budget
+    assert sum(matrices) <= 0.5 * 16 * sum(candidates)
+
+
+@pytest.mark.parametrize("plant", ["study1", "study2"])
+def test_vertex_search_matches_one_candidate_loop_on_study_plants(plant):
+    problem = _study_problem(plant)
+    for seed in range(4):
+        search = SearchParams(budget=400, seed=seed)
+        *arrays, cert = synthesize_gains(problem, search, mode="all_vertices")
+        *frozen, frozen_cert = _frozen_synthesize(problem, search,
+                                                  "all_vertices")
+        assert [a.tobytes() for a in arrays] == [a.tobytes() for a in frozen]
+        assert json.dumps(cert.to_json_dict()) == \
+            json.dumps(frozen_cert.to_json_dict())
