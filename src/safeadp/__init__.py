@@ -5,7 +5,7 @@ harness that ties them together."""
 from .critic import (Basis, LearningConfig, bellman_error,
                      critic_derivatives, excitation_level,
                      extrapolation_terms, quadratic_basis_2d,
-                     saturated_policy, saturation_penalty)
+                     saturated_policy)
 from .config import RunConfig, build_problem, load_config
 from .lmi import (LmiCertificate, LmiProblem, SearchParams,
                   assemble_lmi_matrix, synthesize_gains, verify_gains)

@@ -82,7 +82,7 @@ def _write_json(path: Path, payload):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def cmd_run(args) -> int:
+def _cmd_run(args) -> int:
     overrides = {key: value for key, value in (
         ("dt", args.dt), ("T", args.horizon), ("monitor_action", args.monitor))
         if value is not None}
@@ -118,7 +118,7 @@ def cmd_run(args) -> int:
     return EXIT_RUN_FAILED
 
 
-def cmd_verify_lmi(args) -> int:
+def _cmd_verify_lmi(args) -> int:
     cfg = _load_run_config(args)
     problem, _ = build_problem(cfg)
     certs = _certificates(problem)
@@ -133,7 +133,7 @@ def cmd_verify_lmi(args) -> int:
     return EXIT_OK
 
 
-def cmd_synthesize(args) -> int:
+def _cmd_synthesize(args) -> int:
     cfg = _load_run_config(args)
     # the flags passed, each an observer.synthesis key that overrides the config
     keys = ("mode", *(f.name for f in fields(lmi.SearchParams)))
@@ -158,7 +158,7 @@ def cmd_synthesize(args) -> int:
     return EXIT_OK if cert.feasible else EXIT_RUN_FAILED
 
 
-def cmd_presets(args) -> int:
+def _cmd_presets(args) -> int:
     if args.name:
         cfg = _preset(args.name)
         print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True, default=str))
@@ -168,7 +168,7 @@ def cmd_presets(args) -> int:
     return EXIT_OK
 
 
-def cmd_audit_bounds(args) -> int:
+def _cmd_audit_bounds(args) -> int:
     if args.grid < 2:
         raise ConfigError(f"--grid must be at least 2, got {args.grid}")
     if not args.tol >= 0:
@@ -209,11 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, help="override horizon T")
     p.add_argument("--monitor", choices=("warn", "abort"),
                    help="override monitor action")
-    p.set_defaults(func=cmd_run)
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("verify-lmi", help="verify observer gains")
     _add_common(p)
-    p.set_defaults(func=cmd_verify_lmi)
+    p.set_defaults(func=_cmd_verify_lmi)
 
     p = sub.add_parser("synthesize", help="search for feasible observer gains")
     _add_common(p)
@@ -223,11 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
                             f"(default {f.default})")
     p.add_argument("--mode", choices=lmi.VERIFY_MODES,
                    help="override observer.synthesis.mode")
-    p.set_defaults(func=cmd_synthesize)
+    p.set_defaults(func=_cmd_synthesize)
 
     p = sub.add_parser("presets", help="list presets or dump one as JSON")
     p.add_argument("--name", default=None)
-    p.set_defaults(func=cmd_presets)
+    p.set_defaults(func=_cmd_presets)
 
     p = sub.add_parser("audit-bounds", help="finite-difference Jacobian audit")
     _add_common(p, out=None)
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the sampled Lipschitz audit")
-    p.set_defaults(func=cmd_audit_bounds)
+    p.set_defaults(func=_cmd_audit_bounds)
     return parser
 
 

@@ -80,8 +80,13 @@ class LearningConfig:
         if not self.u_bar > 0:
             raise ValueError("saturation level must be positive")
         d = np.diag(self.R_u)
-        if np.any(d <= 0) or np.any(self.R_u != np.diag(d)):
-            raise ValueError("R_u must be diagonal with positive entries")
+        if not np.all((0 < d) & (d < np.inf)) or np.any(self.R_u != np.diag(d)):
+            raise ValueError("R_u must be diagonal with positive finite entries")
+        if not (np.isfinite(self.Q).all() and np.linalg.eigvalsh(
+                self.Q + self.Q.T)[0] >= -1e-12 * np.abs(self.Q).max()):
+            raise ValueError("Q must be finite and positive semidefinite")
+        if not 0 < self.margin_floor < np.inf:
+            raise ValueError("margin_floor must be positive and finite")
         if self.point_envelope not in ("live", "zero"):
             raise ValueError("point_envelope must be 'live' or 'zero'")
         if len(self.points) < 1:
@@ -91,25 +96,6 @@ class LearningConfig:
 
 # ---------------------------------------------------------------------------
 # Saturation penalty
-
-
-def saturation_penalty(config: LearningConfig, u) -> float:
-    """Running-cost penalty whose minimizing feedback respects |u_k| < u_bar.
-
-    Closed form of 2 * int_0^u (u_bar * atanh(v/u_bar))' R dv, integrated
-    component-wise:
-        2 * sum_k r_k * u_bar * [u_k atanh(u_k/u_bar)
-                                 + (u_bar/2) ln(1 - u_k^2/u_bar^2)].
-    Validated against adaptive quadrature in the test suite.
-    """
-    u = np.atleast_1d(np.asarray(u, float))
-    ub = config.u_bar
-    if np.any(np.abs(u) >= ub):
-        raise ValueError(f"saturation penalty undefined at |u| >= {ub}")
-    r = np.diag(config.R_u)
-    ratio = u / ub
-    term = u * np.arctanh(ratio) + (ub / 2.0) * np.log1p(-ratio * ratio)
-    return float(2.0 * ub * np.sum(r * term))
 
 
 _LOG_2 = np.log(2.0)

@@ -45,8 +45,9 @@ class SimConfig:
     excitation_warn: float = 0.0
 
     def __post_init__(self):
-        if isinstance(self.Gamma0, str) and self.Gamma0 != "identity":
-            raise ValueError("Gamma0 must be 'identity' or a matrix")
+        if (self.Gamma0 != "identity" if isinstance(self.Gamma0, str)
+                else not np.isfinite(np.asarray(self.Gamma0, float)).all()):
+            raise ValueError("Gamma0 must be 'identity' or a finite matrix")
         # written so that NaN fails them
         if not 0 < self.dt < float("inf"):
             raise ValueError("dt must be positive and finite")
@@ -209,35 +210,40 @@ def _make_rhs(problem: ControlProblem):
     return rhs
 
 
-# Non-finite plant or observer values; a run turns them into an abort reason.
-_EVALUATION_ERRORS = (ModelEvaluationError, ObserverEvaluationError)
+class _Abort(Exception):
+    """Ends a run; its message is the finished abort reason."""
 
 
-def _stage(rhs, stage: int, *args):
-    """rhs(*args), with an evaluation error's message naming the RK4 stage."""
+def _stage(rhs, k: int, t: float, stage: int, tau: float, *args):
+    """rhs(tau, *args) as RK4 stage `stage` of step k, which starts at t.  A
+    barrier-domain or evaluation error there ends the run."""
     try:
-        return rhs(*args)
-    except _EVALUATION_ERRORS as exc:
-        raise type(exc)(f"RK4 stage {stage}: {type(exc).__name__}: "
-                        f"{exc}") from exc
+        return rhs(tau, *args)
+    except BarrierDomainError as exc:
+        kind = "barrier_domain" if stage == 1 else "integration_abort"
+        raise _Abort(f"{kind}: {exc}") from exc
+    except (ModelEvaluationError, ObserverEvaluationError) as exc:
+        raise _Abort(f"evaluation_error at step {k}, t={t:.6g}, RK4 stage "
+                     f"{stage}: {type(exc).__name__}: {exc}") from exc
 
 
-def _rk4_step(rhs, dt: float, t: float, x, x_hat, weights, gain, k1=None):
-    """One step of the state (x, x_hat, weights, gain); k1 may be given."""
+def _rk4_step(rhs, dt: float, t: float, x, x_hat, weights, gain, k1=None,
+              k: int = 0):
+    """Step k of the state (x, x_hat, weights, gain) from t; k1 may be given."""
     state = (x, x_hat, weights, gain)
     if k1 is None:
-        k1, _ = _stage(rhs, 1, t, *state)
+        k1, _ = _stage(rhs, k, t, 1, t, *state)
     h = dt / 2.0
-    k2, _ = _stage(rhs, 2, t + h, *(s + h * k for s, k in zip(state, k1)))
-    k3, _ = _stage(rhs, 3, t + h, *(s + h * k for s, k in zip(state, k2)))
-    k4, _ = _stage(rhs, 4, t + dt, *(s + dt * k for s, k in zip(state, k3)))
-    x_new, xh_new, w_new, g_new = (
-        s + dt / 6.0 * (a + 2 * b + 2 * c + d)
-        for s, a, b, c, d in zip(state, k1, k2, k3, k4))
-    g_new, asym, g_eig = _floor_gain(g_new)
-    if not all(np.isfinite(v).all() for v in (x_new, xh_new, w_new, g_new)):
-        raise FloatingPointError(f"integration diverged at t={t:.6g}")
-    return x_new, xh_new, w_new, g_new, asym, g_eig
+    k2, _ = _stage(rhs, k, t, 2, t + h, *(s + h * d for s, d in zip(state, k1)))
+    k3, _ = _stage(rhs, k, t, 3, t + h, *(s + h * d for s, d in zip(state, k2)))
+    k4, _ = _stage(rhs, k, t, 4, t + dt,
+                   *(s + dt * d for s, d in zip(state, k3)))
+    new = [s + dt / 6.0 * (a + 2 * b + 2 * c + d)
+           for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
+    # checked before the gain is decomposed, which a non-finite gain fails
+    if not all(np.isfinite(v).all() for v in new):
+        raise _Abort(f"integration_abort: integration diverged at t={t:.6g}")
+    return (*new[:3], *_floor_gain(new[3]))
 
 
 def _safety(log: TrajectoryLog) -> dict:
@@ -256,12 +262,6 @@ def _safety(log: TrajectoryLog) -> dict:
             "violated": breach is not None}
 
 
-def _event(name: str, t: float, detail: str) -> dict:
-    """A monitor event: first and last time, count and the first detail."""
-    return {"monitor": name, "first_t": float(t), "last_t": float(t),
-            "count": 1, "detail": detail}
-
-
 def run(problem: ControlProblem) -> tuple[TrajectoryLog, RunSummary]:
     """Integrate to the horizon, returning the full log and a summary.
 
@@ -278,14 +278,30 @@ def run(problem: ControlProblem) -> tuple[TrajectoryLog, RunSummary]:
     gamma0 = (np.eye(len(W0)) if isinstance(cfg.Gamma0, str)
               else np.atleast_2d(np.asarray(cfg.Gamma0, float)))
 
+    # monitor name -> its record; insertion order is first-hit order
+    events: dict[str, dict] = {}
+    stopping = (("error_envelope", "safety_h", "saturation")
+                if cfg.monitor_action == "abort" else ())
+
+    def emit(name: str, t: float, detail: str):
+        """Record a monitor hit: first and last time, count and the first
+        detail.  With monitor_action "abort" the in-loop safety monitors
+        stop the run."""
+        rec = events.setdefault(name, {"monitor": name, "first_t": float(t),
+                                       "last_t": float(t), "count": 0,
+                                       "detail": detail})
+        rec["last_t"] = float(t)
+        rec["count"] += 1
+        if name in stopping:
+            raise _Abort(f"monitor_abort at t={t:.6g}")
+
     err0 = float(np.linalg.norm(x0 - x_hat0))
-    events: list[dict] = []
     if observer_enabled and err0 > gains.eps0:
         if err0 > gains.eps0 * EPS0_SLACK:
             raise ValueError(
                 f"initial estimate error {err0:.6g} exceeds eps0={gains.eps0}")
-        events.append(_event("initial_error_bound", 0.0,
-                             f"||x0-xhat0||={err0:.6g} > eps0={gains.eps0}"))
+        emit("initial_error_bound", 0.0,
+             f"||x0-xhat0||={err0:.6g} > eps0={gains.eps0}")
 
     steps = int(round(cfg.T / cfg.dt)) if cfg.T > 0 else 0
     n_log = steps // cfg.log_every + 1
@@ -299,75 +315,44 @@ def run(problem: ControlProblem) -> tuple[TrajectoryLog, RunSummary]:
     abort_reason = None
     rhs = _make_rhs(problem)
 
-    tally: dict[str, dict] = {}
+    try:
+        for k in range(steps + 1):
+            t = k * cfg.dt
+            k1, (u, delta, S, env) = _stage(rhs, k, t, 1, t, x, xh, W, G, True)
+            excite = excitation_level(S, len(problem.learn.points))
+            err = float(np.linalg.norm(x - xh))
+            hx = float(spec.h(x)) if spec is not None else float("nan")
+            hr = (float(spec.h(xh)) - spec.ell * env) if spec is not None else float("nan")
 
-    def emit(name, t, detail) -> bool:
-        rec = tally.get(name)
-        if rec is None:
-            tally[name] = rec = _event(name, t, detail)
-            events.append(rec)
-        else:
-            rec["last_t"] = float(t)
-            rec["count"] += 1
-        return cfg.monitor_action == "abort"
+            if k % cfg.log_every == 0:
+                log.append(t=t, x=x, x_hat=xh, envelope=env, u=u, weights=W,
+                           delta=delta, h=hx, h_robust=hr, err=err,
+                           gain_min=gev[0], gain_max=gev[-1],
+                           gain_asym=asym_last, excitation=excite)
 
-    k = 0
-    while True:
-        t = k * cfg.dt
-        try:
-            k1, (u, delta, S, env) = _stage(rhs, 1, t, x, xh, W, G, True)
-        except BarrierDomainError as exc:
-            abort_reason = f"barrier_domain: {exc}"
-            break
-        except _EVALUATION_ERRORS as exc:
-            abort_reason = f"evaluation_error at step {k}, t={t:.6g}, {exc}"
-            break
-        excite = excitation_level(S, len(problem.learn.points))
-        err = float(np.linalg.norm(x - xh))
-        hx = float(spec.h(x)) if spec is not None else float("nan")
-        hr = (float(spec.h(xh)) - spec.ell * env) if spec is not None else float("nan")
-
-        if k % cfg.log_every == 0:
-            log.append(t=t, x=x, x_hat=xh, envelope=env, u=u, weights=W,
-                       delta=delta, h=hx, h_robust=hr, err=err,
-                       gain_min=gev[0], gain_max=gev[-1], gain_asym=asym_last,
-                       excitation=excite)
-
-        stop = False
-        if observer_enabled and err > env * (1.0 + 1e-9):
-            stop = emit("error_envelope", t, f"err={err:.6g} > envelope={env:.6g}")
-        if spec is not None and hx < 0 and not stop:
-            stop = emit("safety_h", t, f"h(x)={hx:.6g} < 0")
-        if np.any(np.abs(u) >= model.u_bar) and not stop:
-            stop = emit("saturation", t, f"|u|={np.max(np.abs(u)):.6g}")
-        if excite < cfg.excitation_warn and not stop:
-            emit("excitation", t, f"excitation={excite:.3e}")  # warn-only
-        if stop:
-            abort_reason = f"monitor_abort at t={t:.6g}"
-            break
-        if k >= steps:
-            break
-        try:
-            x, xh, W, G, asym_last, gev = _rk4_step(rhs, cfg.dt, t, x, xh, W,
-                                                    G, k1=k1)
-        except (BarrierDomainError, FloatingPointError) as exc:
-            abort_reason = f"integration_abort: {exc}"
-            break
-        except _EVALUATION_ERRORS as exc:
-            abort_reason = f"evaluation_error at step {k}, t={t:.6g}, {exc}"
-            break
-        k += 1
-
-    if abort_reason is None:
+            if observer_enabled and err > env * (1.0 + 1e-9):
+                emit("error_envelope", t, f"err={err:.6g} > envelope={env:.6g}")
+            if spec is not None and hx < 0:
+                emit("safety_h", t, f"h(x)={hx:.6g} < 0")
+            if np.any(np.abs(u) >= model.u_bar):
+                emit("saturation", t, f"|u|={np.max(np.abs(u)):.6g}")
+            if excite < cfg.excitation_warn:
+                emit("excitation", t, f"excitation={excite:.3e}")  # warn-only
+            if k < steps:
+                x, xh, W, G, asym_last, gev = _rk4_step(rhs, cfg.dt, t, x, xh,
+                                                        W, G, k1=k1, k=k)
+    except _Abort as exc:
+        abort_reason = str(exc)
+    else:
         term_x = float(np.linalg.norm(x))
         if cfg.ultimate_bound_x is not None and term_x > cfg.ultimate_bound_x:
-            events.append(_event("ultimate_bound_x", cfg.T,
-                                 f"|x(T)|={term_x:.6g} > {cfg.ultimate_bound_x}"))
+            emit("ultimate_bound_x", cfg.T,
+                 f"|x(T)|={term_x:.6g} > {cfg.ultimate_bound_x}")
         term_e = float(np.linalg.norm(x - xh))
         if (cfg.ultimate_bound_err is not None
                 and term_e > cfg.ultimate_bound_err):
-            events.append(_event("ultimate_bound_err", cfg.T,
-                                 f"|err(T)|={term_e:.6g} > {cfg.ultimate_bound_err}"))
+            emit("ultimate_bound_err", cfg.T,
+                 f"|err(T)|={term_e:.6g} > {cfg.ultimate_bound_err}")
 
     log.truncate()
     ratio = (log.err / np.maximum(log.envelope, 1e-300)) if log.size else np.array([0.0])
@@ -385,6 +370,6 @@ def run(problem: ControlProblem) -> tuple[TrajectoryLog, RunSummary]:
         excitation_min=float(np.min(log.excitation)) if log.size else float("nan"),
         steps=int(k),
         dt=cfg.dt, T=cfg.T, controller_mode=cfg.controller_mode,
-        monitor_events=events, abort_reason=abort_reason,
+        monitor_events=list(events.values()), abort_reason=abort_reason,
         safety=_safety(log) if spec is not None and log.size else None)
     return log, summary

@@ -9,7 +9,8 @@ from scipy.integrate import quad
 
 import safeadp as sa
 from safeadp.cli import main
-from safeadp.critic import LearningConfig, quadratic_basis_2d
+from safeadp.critic import (LearningConfig, _saturation_penalty_preact,
+                            quadratic_basis_2d)
 from safeadp.lmi import LmiProblem, assemble_lmi_matrix, verify_gains
 from safeadp.safety import (barrier_value_and_gradient, circular_obstacle,
                             parabola_interior)
@@ -106,7 +107,8 @@ def test_a5_saturation_penalty_matches_quadrature():
         cfg = LearningConfig(k_c=1.0, gamma_c=1.0, beta=0.01, u_bar=u_bar,
                              R_u=np.diag(r), Q=np.eye(2),
                              points=np.zeros((1, 2)))
-        closed = sa.saturation_penalty(cfg, u)
+        # the penalty as the loop evaluates it, at u = -u_bar tanh(d)
+        closed = float(_saturation_penalty_preact(cfg, -np.arctanh(u / u_bar)))
         oracle = 0.0
         for uk, rk in zip(u, r):
             val, _ = quad(lambda v: u_bar * np.arctanh(v / u_bar) * rk,

@@ -484,6 +484,10 @@ INVALID_VALUES = [
     ("synthesize", None, ["--preset", "study1", "--step", "inf",
                           "--budget", "5"]),
     ("verify-lmi", ("observer", "alpha", float("nan")), []),
+    # the extrapolation clamp must be positive, Q positive semidefinite
+    ("run", ("learning", "margin_floor", 0.0), HORIZON),
+    ("verify-lmi", ("learning", "margin_floor", -1.0), []),
+    ("verify-lmi", ("learning", "Q", [[1.0, 0.0], [0.0, -1.0]]), []),
 ]
 
 
@@ -527,6 +531,7 @@ NAN_FIELDS = [
     ("study1", "learning", "k_c"),
     ("study1", "learning", "gamma_c"),
     ("study1", "learning", "beta"),
+    ("study1", "learning", "margin_floor"),
 ]
 
 
@@ -537,6 +542,46 @@ def test_nan_field_is_a_config_error(name, section, key):
     raw[section][key] = float("nan")
     with pytest.raises(ConfigError, match=section):
         build_problem(RunConfig.from_dict(raw))
+
+
+INF, NAN = float("inf"), float("nan")
+# (section, key, value, id): a non-finite value or matrix entry, which a
+# config file cannot spell but a dict can
+NONFINITE_VALUES = [
+    ("learning", "margin_floor", INF, "learning.margin_floor-inf"),
+    ("learning", "R_u", ((INF,),), "learning.R_u-inf"),
+    ("learning", "Q", ((1.0, 0.0), (0.0, INF)), "learning.Q-inf"),
+    ("learning", "Q", ((NAN, 0.0), (0.0, 1.0)), "learning.Q-nan"),
+    ("sim", "Gamma0", np.diag([1.0, 1.0, NAN, 1.0, 1.0, 1.0]).tolist(),
+     "sim.Gamma0-nan"),
+]
+
+
+@pytest.mark.parametrize("section, key, value", [r[:3] for r in NONFINITE_VALUES],
+                         ids=[r[3] for r in NONFINITE_VALUES])
+def test_nonfinite_value_is_a_config_error(section, key, value):
+    raw = preset("study1").to_dict()
+    raw[section][key] = value
+    with pytest.raises(ConfigError, match=section):
+        build_problem(RunConfig.from_dict(raw))
+
+
+@pytest.mark.parametrize("key, value", [("margin_floor", "BIG"),
+                                        ("R_u", [["BIG"]])],
+                         ids=["margin_floor", "R_u"])
+def test_cli_overflowing_number_is_a_config_error(tmp_path, capsys, key,
+                                                  value):
+    # json reads 1e400 as inf without calling parse_constant
+    raw = preset("study1").to_dict()
+    raw["learning"][key] = value
+    cfg_file = tmp_path / "big.json"
+    cfg_file.write_text(json.dumps(raw).replace('"BIG"', "1e400"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_file), *HORIZON,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "config_error"
+    assert not out.exists()
 
 
 def test_nan_decay_rate_stops_gain_synthesis():

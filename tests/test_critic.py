@@ -10,8 +10,7 @@ import safeadp as sa
 from safeadp.critic import (LearningConfig, bellman_error,
                             critic_derivatives, excitation_level,
                             extrapolation_terms, quadratic_basis_2d,
-                            saturated_policy, saturation_penalty,
-                            _saturation_penalty_preact)
+                            saturated_policy, _saturation_penalty_preact)
 from safeadp.safety import (BarrierDomainError, barrier_value_and_gradient,
                             parabola_interior)
 
@@ -68,6 +67,26 @@ def test_learning_config_derives_the_inverse_control_weight():
 
 
 # ---------------------------------------------------------------- penalty
+
+def saturation_penalty(config: LearningConfig, u) -> float:
+    """Reference u-space form of the running-cost penalty whose minimizing
+    feedback respects |u_k| < u_bar.
+
+    Closed form of 2 * int_0^u (u_bar * atanh(v/u_bar))' R dv, integrated
+    component-wise:
+        2 * sum_k r_k * u_bar * [u_k atanh(u_k/u_bar)
+                                 + (u_bar/2) ln(1 - u_k^2/u_bar^2)].
+    The loop evaluates the penalty through _saturation_penalty_preact.
+    """
+    u = np.atleast_1d(np.asarray(u, float))
+    ub = config.u_bar
+    if np.any(np.abs(u) >= ub):
+        raise ValueError(f"saturation penalty undefined at |u| >= {ub}")
+    r = np.diag(config.R_u)
+    ratio = u / ub
+    term = u * np.arctanh(ratio) + (ub / 2.0) * np.log1p(-ratio * ratio)
+    return float(2.0 * ub * np.sum(r * term))
+
 
 def test_penalty_zero_at_zero():
     assert saturation_penalty(_learn(), np.zeros(1)) == 0.0

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,3 +240,69 @@ def test_nonfinite_observer_aborts_with_its_stage(monkeypatch):
         "evaluation_error at step 1, t=0.01, RK4 stage 2: "
         "ObserverEvaluationError")
     assert log.size == 2 and summary.steps == 1
+
+
+# ---------------------------------------------------------------- abort reasons
+
+POOL = (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+        / "ic_pool.json")
+
+
+def test_pool_member_margin_abort_reason():
+    # member 8 of the benchmark's study1 pool: the robustified margin goes
+    # nonpositive inside an RK4 stage of step 144
+    pool = json.loads(POOL.read_text())
+    raw = pool["base_config"]
+    raw["sim"].update(x0=pool["members"][8]["x0"],
+                      x_hat0=pool["members"][8]["x_hat0"], T=pool["horizon"])
+    problem, _ = sa.build_problem(sa.RunConfig.from_dict(raw))
+    log, summary = run(problem)
+    assert summary.abort_reason == ("integration_abort: robustified margin "
+                                    "nonpositive (min -0.00199131)")
+    assert summary.steps == 144 and log.size == 145
+
+
+def test_nonfinite_gain_derivative_aborts_as_divergence(monkeypatch):
+    make_rhs = sim._make_rhs
+
+    def nan_gain_rhs(problem):
+        rhs = make_rhs(problem)
+
+        def wrapped(tau, x, xh, W, G, with_delta=False):
+            # the critic sees a finite gain, so only the gain derivative and
+            # with it the RK4 sum of the gain are NaN
+            (x_dot, xh_dot, w_dot, g_dot), out = rhs(
+                tau, x, xh, W, np.eye(len(W)), with_delta)
+            return (x_dot, xh_dot, w_dot, np.full_like(g_dot, np.nan)), out
+
+        return wrapped
+
+    monkeypatch.setattr(sim, "_make_rhs", nan_gain_rhs)
+    log, summary = run(_problem(T=0.1))
+    assert summary.abort_reason == ("integration_abort: integration diverged "
+                                    "at t=0")
+    assert log.size == 1 and summary.steps == 0
+
+
+def test_monitor_events_one_record_per_monitor_in_first_hit_order():
+    # a do-nothing observer lets the error outgrow the envelope, starting
+    # within the initial-error slack; the horizon is past the ultimate bound
+    kw = dict(x0=(0.4, 0.4), x_hat0=(0.4, 1.005), eps0=0.6, T=0.5, dt=1e-3)
+    prob = _problem(**kw)
+    prob = dataclasses.replace(prob, sim=dataclasses.replace(
+        prob.sim, ultimate_bound_x=1e-9, excitation_warn=np.inf))
+    log, summary = run(prob)
+    assert summary.ok
+    names = [e["monitor"] for e in summary.monitor_events]
+    assert names[0] == "initial_error_bound" and names[-1] == "ultimate_bound_x"
+    assert len(names) == len(set(names))
+    assert "excitation" in names and "error_envelope" in names
+    by_name = {e["monitor"]: e for e in summary.monitor_events}
+    for e in summary.monitor_events:
+        assert set(e) == {"monitor", "first_t", "last_t", "count", "detail"}
+        assert e["first_t"] <= e["last_t"]
+    # every logged step hits the excitation monitor; the envelope monitor
+    # counts the logged steps whose error exceeds the envelope
+    assert by_name["excitation"]["count"] == log.size
+    assert by_name["error_envelope"]["count"] == int(np.sum(
+        log.err > log.envelope * (1.0 + 1e-9)))
