@@ -74,11 +74,13 @@ class LearningConfig:
         object.__setattr__(self, "R_u", np.atleast_2d(np.asarray(self.R_u, float)))
         object.__setattr__(self, "Q", np.atleast_2d(np.asarray(self.Q, float)))
         object.__setattr__(self, "points", np.atleast_2d(np.asarray(self.points, float)))
-        if not (self.k_c > 0 and self.gamma_c > 0 and self.beta >= 0):
+        if not (0 < self.k_c < np.inf and 0 < self.gamma_c < np.inf
+                and 0 <= self.beta < np.inf):
             raise ValueError("adaptation and normalization gains must be "
-                             "positive, forgetting factor nonnegative")
-        if not self.u_bar > 0:
-            raise ValueError("saturation level must be positive")
+                             "positive, forgetting factor nonnegative, "
+                             "all finite")
+        if not 0 < self.u_bar < np.inf:
+            raise ValueError("saturation level must be positive and finite")
         d = np.diag(self.R_u)
         if not np.all((0 < d) & (d < np.inf)) or np.any(self.R_u != np.diag(d)):
             raise ValueError("R_u must be diagonal with positive finite entries")

@@ -27,6 +27,9 @@ FEASIBILITY_TOL = 1e-9
 VERIFY_MODES = ("theta_identity", "all_vertices")
 # all_vertices assembles 2^(n^2) matrices in one stack: at n = 4 that is
 MAX_VERTEX_DIM = 4      # 2^16 matrices of 8 x 8, about 32 MiB per temporary
+# An n = 4 all_vertices synthesis at budget 5 peaks at about 121 MiB resident
+# (ru_maxrss, Python 3.11, numpy 2.4; 106 MiB before the search held the
+# 15 MiB minorant of its best point).
 
 
 @dataclass(frozen=True)
@@ -44,8 +47,8 @@ class LmiProblem:
     def __post_init__(self):
         for attr in ("C", "Kf1", "Kf2", "Kg1", "Kg2"):
             object.__setattr__(self, attr, np.asarray(getattr(self, attr), float))
-        if not self.alpha >= 0:
-            raise ValueError("decay rate must be nonnegative")
+        if not 0 <= self.alpha < np.inf:
+            raise ValueError("decay rate must be nonnegative and finite")
         n = self.Kf1.shape[0]
         for attr in ("Kf1", "Kf2", "Kg1", "Kg2"):
             if getattr(self, attr).shape != (n, n):
@@ -155,9 +158,10 @@ def _thetas(problem: LmiProblem, mode: str) -> np.ndarray:
 
 
 def _top_eigenvalues(problem: LmiProblem, P, R_lmi, l1, l2, thetas):
-    """(top eigenvalues, injection norms) of K candidates at T thetas: P is
-    (K, n, n), R_lmi, l1 and l2 are (K, n, q) and thetas is (T, n, n).  The
-    eigenvalues are (K, T) and the norms (K, 2), |l1 C| and |l2 C|."""
+    """(top eigenvalues, injection norms, matrices) of K candidates at T
+    thetas: P is (K, n, n), R_lmi, l1 and l2 are (K, n, q) and thetas is
+    (T, n, n).  The eigenvalues are (K, T), the norms (K, 2), |l1 C| and
+    |l2 C|, and the matrices the assembled (K, T, 2n, 2n) stack."""
     P = np.asarray(P, float)
     shape = P.shape[:-2] + (problem.n, problem.q)
     l1 = np.asarray(l1, float).reshape(shape)
@@ -165,9 +169,8 @@ def _top_eigenvalues(problem: LmiProblem, P, R_lmi, l1, l2, thetas):
     # the spectral norm is the largest singular value: one SVD for all norms
     norms = np.linalg.svd(np.stack([l1 @ problem.C, l2 @ problem.C], axis=-3),
                           compute_uv=False).max(axis=-1)
-    eigs = np.linalg.eigvalsh(
-        assemble_lmi_matrix(problem, P, R_lmi, l1, l2, thetas))[..., -1]
-    return eigs, norms
+    M = assemble_lmi_matrix(problem, P, R_lmi, l1, l2, thetas)
+    return np.linalg.eigvalsh(M)[..., -1], norms, M
 
 
 def verify_gains(problem: LmiProblem, P, R_lmi, l1, l2,
@@ -176,7 +179,7 @@ def verify_gains(problem: LmiProblem, P, R_lmi, l1, l2,
     """Check negativity of the verification matrix and the injection-norm caps
     in one of the VERIFY_MODES."""
     thetas = _thetas(problem, mode)
-    eigs, norms = _top_eigenvalues(
+    eigs, norms, _ = _top_eigenvalues(
         problem, np.asarray(P, float)[None], R_lmi, l1, l2, thetas)
     eigs = eigs[0].tolist()
     norm1, norm2 = norms[0].tolist()
@@ -209,6 +212,16 @@ PD_FLOOR = 1e-6     # smallest eigenvalue of a candidate P
 # that a batch holds at most BATCH_MATRICES verification matrices.
 BATCH = 16
 BATCH_MATRICES = 4096
+# Rounding slack of the subgradient prune.  With N(p) = |p1| . w, a bound on
+# |M(p, theta)|_2 (`_norm_weights`), and u = 2^-53, a candidate's computed top
+# eigenvalue is at least its computed max_t G[t] . p1 less three errors:
+# LAPACK's eigenvalue of the assembled matrix (backward stable, a small
+# multiple of 2n u N(p)); the assembly (a few rounded products per entry);
+# and the affine evaluation (G from a few products per entry, each
+# |G[t, k]| <= w_k, a dot product of at most 41 terms, and |v| = 1 only to
+# rounding).  For 2n <= 8 each is below 10^3 u N(p); the slack, 1e-9 N(p),
+# is about 10^7 u N(p).
+PRUNE_SLACK = 1e-9
 
 
 def _project_pd(P: np.ndarray) -> np.ndarray:
@@ -219,31 +232,100 @@ def _project_pd(P: np.ndarray) -> np.ndarray:
     return (V * np.maximum(ev, PD_FLOOR)[..., None, :]) @ np.swapaxes(V, -1, -2)
 
 
+def _minorant(problem: LmiProblem, thetas, v):
+    """Affine minorants of the top eigenvalue at each of T thetas, taken at
+    unit vectors v (T, 2n): the rows G[t] over p1 = (1, P, R_lmi, l1, l2),
+    raveled, with v_t^T M(p, theta_t) v_t = G[t] . p1 for every p, so
+    lambda_max(M(p, theta_t)) >= G[t] . p1.  With (a, b) = v_t and
+    theta a = theta_t a, G[t] = (c, g_P, g_R, g_l1, g_l2) where
+        c    = 2 b^T (gap_f + gap_g) a - 3 b^T b,
+        g_P  = (A theta a) a^T + a (A theta a)^T + 2 alpha a a^T
+               + 2 sqrt2 b a^T,
+        g_R  = -2 a (C theta a)^T,
+        g_l1 = -2 (gap_f^T b) (C a)^T,   g_l2 = -2 (gap_g^T b) (C a)^T.
+    g_P keeps its two transposed terms because a candidate P is symmetric
+    only to rounding, and the assembly uses it unsymmetrized."""
+    gap_f, gap_g = problem.Kf2 - problem.Kf1, problem.Kg2 - problem.Kg1
+    a, b = v[:, :problem.n], v[:, problem.n:]
+    theta_a = np.einsum("tij,tj->ti", thetas, a)
+    A_a, C_a = theta_a @ problem.A.T, theta_a @ problem.C.T
+    Ca = a @ problem.C.T
+
+    def outer(x, y):
+        return (x[:, :, None] * y[:, None, :]).reshape(len(v), -1)
+
+    return np.concatenate([
+        (2.0 * np.einsum("ti,ti->t", b, a @ (gap_f + gap_g).T)
+         - 3.0 * np.einsum("ti,ti->t", b, b))[:, None],
+        outer(A_a, a) + outer(a, A_a) + 2.0 * problem.alpha * outer(a, a)
+        + 2.0 * np.sqrt(2.0) * outer(b, a),
+        -2.0 * outer(a, C_a),
+        -2.0 * outer(b @ gap_f, Ca),
+        -2.0 * outer(b @ gap_g, Ca)], axis=1)
+
+
+def _norm_weights(problem: LmiProblem) -> np.ndarray:
+    """Weights w over p1 with |M(p, theta)|_2 <= |p1| . w for every theta of
+    the cube: the matrix is M_0 + sum_k p_k M_k(theta), and |theta|_2 <= n,
+    so |M_0| <= 3 + |gap_f| + |gap_g|, |M_P_ij| <= 2n|A| + 2 alpha + sqrt2,
+    |M_R_ij| <= 2n|C|, |M_l1_ij| <= |gap_f||C| and |M_l2_ij| <= |gap_g||C|
+    (Frobenius norms on the right)."""
+    n, q, norm = problem.n, problem.q, np.linalg.norm
+    A, C = norm(problem.A), norm(problem.C)
+    gap_f = norm(problem.Kf2 - problem.Kf1)
+    gap_g = norm(problem.Kg2 - problem.Kg1)
+    return np.repeat([3.0 + gap_f + gap_g,
+                      2.0 * n * A + 2.0 * problem.alpha + np.sqrt(2.0),
+                      2.0 * n * C, gap_f * C, gap_g * C],
+                     [1, n * n, n * q, n * q, n * q])
+
+
 def _penalties(problem: LmiProblem, P, R, l1, l2, thetas, bound=np.inf,
-               probe: int = 0):
+               minorant=None):
     """Search penalty of each candidate of a stack (the top eigenvalue over
-    thetas plus a hinge on the injection norms) and the theta index where it
-    peaks.  With several thetas and a finite bound, each candidate is first
-    evaluated at thetas[probe] alone, a lower bound on its penalty; one whose
-    lower bound is >= bound is pruned, with that lower bound as its entry and
-    None as its index.  The others are evaluated at every theta, bit for bit
-    as if unpruned."""
+    thetas plus a hinge on the injection norms) and, with several thetas, the
+    minorant (G, w) of the first candidate whose penalty is below bound: its
+    `_minorant` rows at its top eigenvectors and the `_norm_weights` (None if
+    no candidate's penalty is below bound).
+
+    Given the minorant of the incumbent whose penalty is bound, each candidate
+    p first gets max_t G[t] . p1 - PRUNE_SLACK * |p1| . w, a lower bound on
+    its top eigenvalue and so on its penalty (the hinge is >= 0).  One whose
+    lower bound is >= bound could never be accepted: it is pruned, with that
+    lower bound as its entry.  The others are evaluated at every theta, bit
+    for bit as if unpruned.
+    """
     def penalty(top, norms):
         return max(top) + 100.0 * (max(0.0, norms[0] - 1.0)
                                    + max(0.0, norms[1] - 1.0))
 
-    pens, worst, live = [None] * len(P), [None] * len(P), range(len(P))
-    if len(thetas) > 1 and bound < np.inf:
-        eigs, norms = _top_eigenvalues(problem, P, R, l1, l2,
-                                       thetas[probe:probe + 1])
-        pens = list(map(penalty, eigs.tolist(), norms.tolist()))
+    pens, live = [None] * len(P), range(len(P))
+    if minorant is not None:
+        G, w = minorant
+        p1 = np.concatenate([np.ones((len(P), 1))]
+                            + [a.reshape(len(P), -1) for a in (P, R, l1, l2)],
+                            axis=1)
+        pens = (np.max(p1 @ G.T, axis=1)
+                - PRUNE_SLACK * (np.abs(p1) @ w)).tolist()
         live = [i for i, pen in enumerate(pens) if pen < bound]
         P, R, l1, l2 = (a[live] for a in (P, R, l1, l2))
-    if len(live):
-        eigs, norms = _top_eigenvalues(problem, P, R, l1, l2, thetas)
-        for i, top, norm in zip(live, eigs.tolist(), norms.tolist()):
-            pens[i], worst[i] = penalty(top, norm), top.index(max(top))
-    return pens, worst
+    if not len(live):
+        return pens, None
+    eigs, norms, M = _top_eigenvalues(problem, P, R, l1, l2, thetas)
+    for i, top, norm in zip(live, eigs.tolist(), norms.tolist()):
+        pens[i] = penalty(top, norm)
+    first = next((k for k, i in enumerate(live) if pens[i] < bound), None)
+    if len(thetas) == 1 or first is None:
+        return pens, None
+    # eigh for the top eigenvectors only, the penalties stay those of
+    # eigvalsh; BATCH_MATRICES thetas at a time, so that no full eigenvector
+    # stack is held
+    G = np.empty((len(thetas), 1 + problem.n ** 2 + 3 * problem.n * problem.q))
+    for t in range(0, len(thetas), BATCH_MATRICES):
+        chunk = slice(t, t + BATCH_MATRICES)
+        G[chunk] = _minorant(problem, thetas[chunk],
+                             np.linalg.eigh(M[first, chunk])[1][..., -1])
+    return pens, (G, _norm_weights(problem))
 
 
 def synthesize_gains(problem: LmiProblem, search: SearchParams = SearchParams(),
@@ -263,9 +345,10 @@ def synthesize_gains(problem: LmiProblem, search: SearchParams = SearchParams(),
     accepted; the first accepted one ends the batch, and the noise drawn for
     the candidates after it is used by the next batch.  A batch's noise is
     drawn in one call, row by row in the order of the one-candidate loop, and
-    with several thetas only the candidates not already rejected at the best
-    point's peak theta are evaluated at all of them.  The result is that of
-    evaluating one candidate at a time at every theta.
+    with several thetas only the candidates whose subgradient lower bound,
+    taken at the best point's top eigenvectors, does not already reject them
+    are evaluated at all of them.  The result is that of evaluating one
+    candidate at a time at every theta.
     """
     n, q = problem.n, problem.q
     rng = np.random.default_rng(search.seed)
@@ -273,7 +356,8 @@ def synthesize_gains(problem: LmiProblem, search: SearchParams = SearchParams(),
     batch = max(1, min(BATCH, BATCH_MATRICES // len(thetas)))
 
     best = (np.eye(n), np.zeros((n, q)), np.zeros((n, q)), np.zeros((n, q)))
-    [best_pen], [probe] = _penalties(problem, *(b[None] for b in best), thetas)
+    [best_pen], minorant = _penalties(problem, *(b[None] for b in best),
+                                      thetas)
     step = search.step
     # one row per iteration: its P, R_lmi, l1 and l2 perturbations, raveled;
     # the first `drawn` rows hold noise that no candidate has used yet
@@ -292,14 +376,14 @@ def synthesize_gains(problem: LmiProblem, search: SearchParams = SearchParams(),
         dP, dR, d1, d2 = (d[:k] for d in parts)
         cands = (_project_pd(best[0] + s * dP), best[1] + s * dR,
                  best[2] + 0.1 * s * d1, best[3] + 0.1 * s * d2)
-        pens, worst = _penalties(problem, *cands, thetas, best_pen, probe)
+        pens, found = _penalties(problem, *cands, thetas, best_pen, minorant)
         j = next((j for j, pen in enumerate(pens) if pen < best_pen), None)
         if j is None:
             used, step = k, steps[k]
         else:
             used, step = j + 1, min(steps[j] * 1.3, 10.0)
             best = tuple(c[j] for c in cands)
-            best_pen, probe = pens[j], worst[j]
+            best_pen, minorant = pens[j], found
         noise[:k - used] = noise[used:k]
         drawn = k - used
         left = 0 if best_pen < -search.tol else left - used

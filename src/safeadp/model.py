@@ -32,8 +32,8 @@ class DomainSet:
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, float))
         hw = np.asarray(self.halfwidths, float)
-        if not np.all(hw > 0):
-            raise ValueError("box halfwidths must be positive")
+        if not np.all((0 < hw) & (hw < np.inf)):
+            raise ValueError("box halfwidths must be positive and finite")
         object.__setattr__(self, "halfwidths", hw)
 
     @property
@@ -78,8 +78,8 @@ class SystemModel:
                 raise ValueError(f"{attr} must be {(self.n, self.n)}")
         if np.any(self.Kf1 > self.Kf2) or np.any(self.Kg1 > self.Kg2):
             raise ValueError("lower Jacobian bounds exceed upper bounds")
-        if not self.u_bar > 0:
-            raise ValueError("saturation level must be positive")
+        if not 0 < self.u_bar < np.inf:
+            raise ValueError("saturation level must be positive and finite")
         if self.domain.dim != self.n:
             raise ValueError("domain dimension does not match state dimension")
 

@@ -43,10 +43,10 @@ class ObserverGains:
         for attr in ("l1", "l2", "l3"):     # n rows of q, as the LMI reads them
             object.__setattr__(self, attr, np.asarray(
                 getattr(self, attr), float).reshape(len(P), -1))
-        if not self.alpha > 0:
-            raise ValueError("decay rate must be positive")
-        if not self.eps0 > 0:
-            raise ValueError("initial error bound must be positive")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError("decay rate must be positive and finite")
+        if not 0 < self.eps0 < np.inf:
+            raise ValueError("initial error bound must be positive and finite")
         if not np.allclose(P, P.T, atol=1e-12):
             raise ValueError("P must be symmetric")
         ev = np.linalg.eigvalsh(P)

@@ -34,8 +34,8 @@ class SafetySpec:
     name: str = "custom"
 
     def __post_init__(self):
-        if not (self.ell > 0 and self.kappa > 0):
-            raise ValueError("ell and kappa must be positive")
+        if not (0 < self.ell < np.inf and 0 < self.kappa < np.inf):
+            raise ValueError("ell and kappa must be positive and finite")
 
 
 def parabola_interior(kappa: float, ell: float) -> SafetySpec:

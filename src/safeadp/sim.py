@@ -61,6 +61,13 @@ class SimConfig:
             raise ValueError("monitor_action must be 'warn' or 'abort'")
         if self.log_every < 1:
             raise ValueError("log_every must be >= 1")
+        # +-inf never or always warns
+        if not -np.inf <= self.excitation_warn <= np.inf:
+            raise ValueError("excitation_warn must not be NaN")
+        for name in ("ultimate_bound_x", "ultimate_bound_err"):
+            bound = getattr(self, name)
+            if bound is not None and not bound >= 0:
+                raise ValueError(f"{name} must be None or >= 0")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@
 `certificate.json` are checked nowhere else.  The cases are a full run with a
 certificate, a run without an observer, a run without a barrier that leaves
 the safe set (so the summary's violation times are not null), `verify-lmi`,
-and a run that aborts at step 0, whose CSV files hold only their header rows.  The JSON dump of every
+a run that aborts at step 0, whose CSV files hold only their header rows,
+and a seeded `synthesize` in each mode.  The JSON dump of every
 preset (`safeadp presets --name <p>`) is hashed as well, so the accepted
 config schema and the preset values cannot drift.  Regenerate the stored file
 only in a change that deliberately alters an output, and say so in CHANGES.md:
@@ -48,6 +49,13 @@ CASES = {
     "verify_lmi_study1": (0, lambda tmp: ["verify-lmi", "--preset", "study1"]),
     "run_step0_abort": (1, lambda tmp: ["run", "--config",
                                         _abort_config(tmp)]),
+    # the gain search in both modes; neither finds feasible gains (exit 1)
+    "synthesize_study1_identity": (1, lambda tmp: [
+        "synthesize", "--preset", "study1", "--mode", "theta_identity",
+        "--seed", "3", "--budget", "400"]),
+    "synthesize_study1_vertices": (1, lambda tmp: [
+        "synthesize", "--preset", "study1", "--mode", "all_vertices",
+        "--seed", "3", "--budget", "400"]),
 }
 
 

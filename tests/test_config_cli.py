@@ -488,6 +488,7 @@ INVALID_VALUES = [
     ("run", ("learning", "margin_floor", 0.0), HORIZON),
     ("verify-lmi", ("learning", "margin_floor", -1.0), []),
     ("verify-lmi", ("learning", "Q", [[1.0, 0.0], [0.0, -1.0]]), []),
+    ("run", ("learning", "Q", [[1.0, 0.0], [0.0, -1.0]]), HORIZON),
 ]
 
 
@@ -496,10 +497,31 @@ def _edits(edit):
     return edit if isinstance(edit[0], tuple) else (edit,)
 
 
-@pytest.mark.parametrize(
-    "command, edit, extra", INVALID_VALUES,
-    ids=[f"{c}-{'.'.join(map(str, _edits(e)[-1][:2])) if e else ' '.join(x)}"
-         for c, e, x in INVALID_VALUES])
+def _row_ids(rows):
+    """One id per row: the command and the flags, or the command and the field
+    of the last edit, followed by its value when an earlier row already has
+    that command and field, so a later row never renames an earlier one."""
+    ids = []
+    for command, edit, extra in rows:
+        if edit is None:
+            ids.append(f"{command}-{' '.join(extra)}")
+            continue
+        path, key, value = _edits(edit)[-1]
+        field = f"{command}-{path}.{key}"
+        ids.append(field if field not in ids
+                   else f"{field}={json.dumps(value)}")
+    return ids
+
+
+def test_invalid_value_ids_are_unique():
+    ids = _row_ids(INVALID_VALUES)
+    assert len(set(ids)) == len(ids)
+    assert "run-learning.Q" in ids
+    assert "run-learning.Q=[[1.0, 0.0], [0.0, -1.0]]" in ids
+
+
+@pytest.mark.parametrize("command, edit, extra", INVALID_VALUES,
+                         ids=_row_ids(INVALID_VALUES))
 def test_cli_invalid_value_is_a_config_error(tmp_path, capsys, command, edit,
                                              extra):
     argv = [command, *extra]
@@ -546,7 +568,7 @@ def test_nan_field_is_a_config_error(name, section, key):
 
 INF, NAN = float("inf"), float("nan")
 # (section, key, value, id): a non-finite value or matrix entry, which a
-# config file cannot spell but a dict can
+# config file cannot spell but a dict can, or a finite value out of range
 NONFINITE_VALUES = [
     ("learning", "margin_floor", INF, "learning.margin_floor-inf"),
     ("learning", "R_u", ((INF,),), "learning.R_u-inf"),
@@ -554,6 +576,22 @@ NONFINITE_VALUES = [
     ("learning", "Q", ((NAN, 0.0), (0.0, 1.0)), "learning.Q-nan"),
     ("sim", "Gamma0", np.diag([1.0, 1.0, NAN, 1.0, 1.0, 1.0]).tolist(),
      "sim.Gamma0-nan"),
+    ("observer", "alpha", INF, "observer.alpha-inf"),
+    ("observer", "eps0", INF, "observer.eps0-inf"),
+    ("safety", "ell", INF, "safety.ell-inf"),
+    ("safety", "kappa", INF, "safety.kappa-inf"),
+    ("model", "u_bar", INF, "model.u_bar-inf"),
+    ("model", "box_halfwidth", INF, "model.box_halfwidth-inf"),
+    ("learning", "k_c", INF, "learning.k_c-inf"),
+    ("learning", "gamma_c", INF, "learning.gamma_c-inf"),
+    ("learning", "beta", INF, "learning.beta-inf"),
+    # +-inf keeps its meaning for the excitation threshold (never or always
+    # warn); an ultimate bound is None or >= 0
+    ("sim", "excitation_warn", NAN, "sim.excitation_warn-nan"),
+    ("sim", "ultimate_bound_x", NAN, "sim.ultimate_bound_x-nan"),
+    ("sim", "ultimate_bound_err", NAN, "sim.ultimate_bound_err-nan"),
+    ("sim", "ultimate_bound_x", -1.0, "sim.ultimate_bound_x--1"),
+    ("sim", "ultimate_bound_err", -1.0, "sim.ultimate_bound_err--1"),
 ]
 
 
@@ -567,8 +605,9 @@ def test_nonfinite_value_is_a_config_error(section, key, value):
 
 
 @pytest.mark.parametrize("key, value", [("margin_floor", "BIG"),
-                                        ("R_u", [["BIG"]])],
-                         ids=["margin_floor", "R_u"])
+                                        ("R_u", [["BIG"]]),
+                                        ("gamma_c", "BIG")],
+                         ids=["margin_floor", "R_u", "gamma_c"])
 def test_cli_overflowing_number_is_a_config_error(tmp_path, capsys, key,
                                                   value):
     # json reads 1e400 as inf without calling parse_constant
@@ -582,6 +621,13 @@ def test_cli_overflowing_number_is_a_config_error(tmp_path, capsys, key,
     err = capsys.readouterr().err
     assert json.loads(err.strip().splitlines()[-1])["error"] == "config_error"
     assert not out.exists()
+
+
+def test_infinite_decay_rate_stops_gain_synthesis():
+    raw = preset("study1").to_dict()
+    raw["observer"].update(alpha=float("inf"), gains="synthesize")
+    with pytest.raises(ConfigError, match="observer: decay rate"):
+        build_problem(RunConfig.from_dict(raw))
 
 
 def test_nan_decay_rate_stops_gain_synthesis():

@@ -437,36 +437,117 @@ def test_four_state_vertex_batch_holds_one_candidate(monkeypatch):
     assert set(sizes) <= {(1, 1), (1, 2 ** 16)}
 
 
-# ------------------------------------------------ probe prune of the search
+# ------------------------------------------- subgradient prune of the search
 
 def _study_problem(name):
     cfg = sa.preset(name)
     return LmiProblem.from_model(cfg.model.build(), cfg.observer.alpha)
 
 
-@settings(max_examples=60, deadline=None)
+def _p1(P, R, l1, l2):
+    """The raveled (1, P, R_lmi, l1, l2) of each candidate of a stack."""
+    return np.concatenate([np.ones((len(P), 1))]
+                          + [a.reshape(len(P), -1) for a in (P, R, l1, l2)],
+                          axis=1)
+
+
+@settings(max_examples=80, deadline=None)
 @given(n=st.sampled_from([1, 2, 3]), q=st.sampled_from([1, 2]),
-       count=st.integers(1, 9), probe=st.integers(0, 2**9 - 1),
-       quantile=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
-def test_probe_prune_is_exact(n, q, count, probe, quantile, seed):
-    # a pruned candidate's full penalty is at least the bound, so it could
-    # not have been accepted; a survivor's penalty and peak are unchanged
+       count=st.integers(1, 9), vertices=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_minorant_is_the_quadratic_form_of_the_assembled_matrix(
+        n, q, count, vertices, seed):
+    # c + g . p equals v^T M(p, theta) v for every p, P unsymmetric included
     rng, problem, *_ = _random_instance(n, q, seed)
-    thetas = problem.theta_vertices()
+    thetas = (problem.theta_vertices() if vertices
+              else rng.uniform(0, 1, (count, n, n)))
+    v = rng.normal(size=(len(thetas), 2 * n))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    G = lmi._minorant(problem, thetas, v)
+    w = lmi._norm_weights(problem)
     P = rng.normal(size=(count, n, n))
-    P = P @ np.swapaxes(P, -1, -2) + 0.1 * np.eye(n)
-    R = rng.normal(size=(count, n, q))
-    l1, l2 = (0.5 * rng.normal(size=(count, n, q)) for _ in range(2))
-    full, peaks = lmi._penalties(problem, P, R, l1, l2, thetas)
-    assert None not in peaks
-    bound = float(np.quantile(full, quantile))
-    pens, worst = lmi._penalties(problem, P, R, l1, l2, thetas, bound,
-                                 probe % len(thetas))
-    for pen, peak, unpruned, unpruned_peak in zip(pens, worst, full, peaks):
-        if peak is None:
-            assert pen >= bound and unpruned >= pen
+    R, l1, l2 = (rng.normal(size=(count, n, q)) for _ in range(3))
+    p1 = _p1(P, R, l1, l2)
+    M = assemble_lmi_matrix(problem, P, R, l1, l2, thetas)
+    quadratic = np.einsum("ti,ktij,tj->kt", v, M, v)
+    scale = np.abs(p1) @ np.abs(G).T
+    assert np.all(np.abs(p1 @ G.T - quadratic) <= 1e-12 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([1, 2, 3]), q=st.sampled_from([1, 2]),
+       seed=st.integers(0, 2**32 - 1))
+def test_norm_weights_bound_each_term_of_the_matrix(n, q, seed):
+    # M(p, theta) = M_0 + sum_k p_k M_k(theta): w_0 bounds |M_0| and w_k
+    # bounds |M_k| at every vertex, so |p1| . w bounds |M| on the cube
+    _, problem, *_ = _random_instance(n, q, seed)
+    w = lmi._norm_weights(problem)
+    basis = np.eye(len(w) - 1)
+    cuts = np.cumsum([n * n, n * q, n * q])
+    P, R, l1, l2 = np.split(basis, cuts, axis=1)
+    thetas = problem.theta_vertices()
+    zero = assemble_lmi_matrix(problem, np.zeros((n, n)), np.zeros((n, q)),
+                               np.zeros((n, q)), np.zeros((n, q)), thetas)
+    terms = assemble_lmi_matrix(problem, P.reshape(-1, n, n),
+                                R.reshape(-1, n, q), l1.reshape(-1, n, q),
+                                l2.reshape(-1, n, q), thetas) - zero
+    assert np.all(np.linalg.norm(zero, 2, axis=(-2, -1)) <= w[0])
+    assert np.all(np.linalg.norm(terms, 2, axis=(-2, -1))
+                  <= w[1:, None] * (1 + 1e-12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.sampled_from([1, 2, 3]), q=st.sampled_from([1, 2]),
+       count=st.integers(1, 9), step=st.sampled_from([1e-3, 0.1, 1.0]),
+       scale=st.sampled_from([1.0, 1e3, 1e6]), exact=st.booleans(),
+       quantile=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_subgradient_prune_is_exact(n, q, count, step, scale, exact, quantile,
+                                    seed):
+    # a pruned candidate's full penalty is at least the bound, so it could not
+    # have been accepted; a survivor's penalty is unchanged, and the minorant
+    # handed back is the one its own evaluation gives
+    rng, problem, P0, R0, l10, l20 = _random_instance(n, q, seed)
+    thetas = problem.theta_vertices()
+    [best_pen], minorant = lmi._penalties(
+        problem, P0[None], R0[None], l10[None], l20[None], thetas)
+    P = P0 + step * rng.normal(size=(count, n, n))
+    P = scale * (P @ np.swapaxes(P, -1, -2) + 0.1 * np.eye(n))
+    R, l1, l2 = (scale * (x + step * rng.normal(size=(count, n, q)))
+                 for x in (R0, l10, l20))
+    P[0], R[0], l1[0], l2[0] = P0, R0, l10, l20     # the incumbent itself
+    full, _ = lmi._penalties(problem, P, R, l1, l2, thetas)
+    bound = (best_pen if exact
+             else float(np.quantile(full, quantile, method="nearest")))
+    evaluated = set()
+    top_eigenvalues = lmi._top_eigenvalues
+
+    def recorded(problem, *cands_and_thetas):
+        evaluated.update(row.tobytes() for row in _p1(*cands_and_thetas[:4]))
+        return top_eigenvalues(problem, *cands_and_thetas)
+
+    lmi._top_eigenvalues = recorded
+    try:
+        pens, found = lmi._penalties(problem, P, R, l1, l2, thetas, bound,
+                                     minorant)
+    finally:
+        lmi._top_eigenvalues = top_eigenvalues
+    first = None
+    for k, (row, pen, unpruned) in enumerate(zip(_p1(P, R, l1, l2), pens,
+                                                  full)):
+        if row.tobytes() in evaluated:
+            assert pen.hex() == unpruned.hex()
+            if first is None and pen < bound:
+                first = k
         else:
-            assert pen.hex() == unpruned.hex() and peak == unpruned_peak
+            assert bound <= pen <= unpruned
+    if first is None:
+        assert found is None
+    else:
+        _, own = lmi._penalties(problem, P[first:first + 1],
+                                R[first:first + 1], l1[first:first + 1],
+                                l2[first:first + 1], thetas)
+        assert found[0].tobytes() == own[0].tobytes()
+        assert found[1].tobytes() == own[1].tobytes()
 
 
 def test_vertex_search_skips_most_vertex_matrices(monkeypatch):
