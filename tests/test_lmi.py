@@ -499,24 +499,23 @@ def test_norm_weights_bound_each_term_of_the_matrix(n, q, seed):
 @settings(max_examples=80, deadline=None)
 @given(n=st.sampled_from([1, 2, 3]), q=st.sampled_from([1, 2]),
        count=st.integers(1, 9), step=st.sampled_from([1e-3, 0.1, 1.0]),
-       scale=st.sampled_from([1.0, 1e3, 1e6]), exact=st.booleans(),
+       scale=st.sampled_from([1.0, 1e3, 1e6]), incumbent=st.booleans(),
        quantile=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
-def test_subgradient_prune_is_exact(n, q, count, step, scale, exact, quantile,
-                                    seed):
+def test_subgradient_prune_is_exact(n, q, count, step, scale, incumbent,
+                                    quantile, seed):
     # a pruned candidate's full penalty is at least the bound, so it could not
     # have been accepted; a survivor's penalty is unchanged, and the minorant
-    # handed back is the one its own evaluation gives
-    rng, problem, P0, R0, l10, l20 = _random_instance(n, q, seed)
+    # handed back is the one its own evaluation gives.  The bound is the
+    # exact penalty of the incumbent (candidate 0) or of another candidate.
+    rng, problem, *best = _random_instance(n, q, seed)
     thetas = problem.theta_vertices()
     [best_pen], minorant = lmi._penalties(
-        problem, P0[None], R0[None], l10[None], l20[None], thetas)
-    P = P0 + step * rng.normal(size=(count, n, n))
-    P = scale * (P @ np.swapaxes(P, -1, -2) + 0.1 * np.eye(n))
-    R, l1, l2 = (scale * (x + step * rng.normal(size=(count, n, q)))
-                 for x in (R0, l10, l20))
-    P[0], R[0], l1[0], l2[0] = P0, R0, l10, l20     # the incumbent itself
+        problem, *(b[None] for b in best), thetas)
+    P, R, l1, l2 = (scale * (b + step * rng.normal(size=(count,) + b.shape))
+                    for b in best)
+    P[0], R[0], l1[0], l2[0] = best
     full, _ = lmi._penalties(problem, P, R, l1, l2, thetas)
-    bound = (best_pen if exact
+    bound = (best_pen if incumbent
              else float(np.quantile(full, quantile, method="nearest")))
     evaluated = set()
     top_eigenvalues = lmi._top_eigenvalues
