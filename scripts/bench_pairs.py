@@ -2,7 +2,7 @@
 """Benchmark two revisions over alternating pairs of runs and compare them.
 
     python3 scripts/bench_pairs.py PARENT_REV CHANGE_REV --workload W \\
-        --pairs N [--seed S] [--seconds SEC] [--out DIR]
+        --pairs N [--seed S] [--out DIR]
 
 Both revisions are exported with ``git archive`` into a temporary directory.
 Pair i runs ``perfbench/run.py --workload W --runs 1 --seed S+i`` in each,
@@ -40,7 +40,6 @@ def main() -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--out", type=Path,
                         default=ROOT / ".perfbench_out" / "pairs")
     args = parser.parse_args()
@@ -57,7 +56,7 @@ def main() -> int:
                 code = subprocess.run(
                     [sys.executable, "perfbench/run.py", "--workload",
                      args.workload, "--runs", "1", "--seed", str(args.seed + i),
-                     "--seconds", str(args.seconds), "--out", str(out)],
+                     "--out", str(out)],
                     cwd=sides[side]).returncode
                 if code == 2:       # the benchmark could not run at all
                     return 2

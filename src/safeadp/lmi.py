@@ -27,9 +27,9 @@ FEASIBILITY_TOL = 1e-9
 VERIFY_MODES = ("theta_identity", "all_vertices")
 # all_vertices assembles 2^(n^2) matrices in one stack: at n = 4 that is
 MAX_VERTEX_DIM = 4      # 2^16 matrices of 8 x 8, about 32 MiB per temporary
-# An n = 4 all_vertices synthesis at budget 5 peaks at about 121 MiB resident
+# An n = 4 all_vertices synthesis at budget 5 peaks at about 111 MiB resident
 # (ru_maxrss, Python 3.11, numpy 2.4; 106 MiB before the search held the
-# 15 MiB minorant of its best point).
+# minorant of its best point at 4,096 vertices).
 
 
 @dataclass(frozen=True)
@@ -285,8 +285,9 @@ def _penalties(problem: LmiProblem, P, R, l1, l2, thetas, bound=np.inf,
     """Search penalty of each candidate of a stack (the top eigenvalue over
     thetas plus a hinge on the injection norms) and, with several thetas, the
     minorant (G, w) of the first candidate whose penalty is below bound: its
-    `_minorant` rows at its top eigenvectors and the `_norm_weights` (None if
-    no candidate's penalty is below bound).
+    `_minorant` rows at its top eigenvectors, at the BATCH_MATRICES thetas
+    where its top eigenvalue is highest, and the `_norm_weights` (None if no
+    candidate's penalty is below bound).
 
     Given the minorant of the incumbent whose penalty is bound, each candidate
     p first gets max_t G[t] . p1 - PRUNE_SLACK * |p1| . w, a lower bound on
@@ -318,13 +319,13 @@ def _penalties(problem: LmiProblem, P, R, l1, l2, thetas, bound=np.inf,
     if len(thetas) == 1 or first is None:
         return pens, None
     # eigh for the top eigenvectors only, the penalties stay those of
-    # eigvalsh; BATCH_MATRICES thetas at a time, so that no full eigenvector
-    # stack is held
-    G = np.empty((len(thetas), 1 + problem.n ** 2 + 3 * problem.n * problem.q))
-    for t in range(0, len(thetas), BATCH_MATRICES):
-        chunk = slice(t, t + BATCH_MATRICES)
-        G[chunk] = _minorant(problem, thetas[chunk],
-                             np.linalg.eigh(M[first, chunk])[1][..., -1])
+    # eigvalsh.  A maximum over any subset of the thetas' minorants is still a
+    # lower bound, so they are taken at the BATCH_MATRICES thetas where the
+    # candidate peaks: at n = 4 an eigh of all 2^16 would cost twice the
+    # eigvalsh of the evaluation, at every acceptance
+    top = np.argsort(eigs[first])[-BATCH_MATRICES:]
+    G = _minorant(problem, thetas[top],
+                  np.linalg.eigh(M[first, top])[1][..., -1])
     return pens, (G, _norm_weights(problem))
 
 

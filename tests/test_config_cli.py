@@ -488,7 +488,6 @@ INVALID_VALUES = [
     ("run", ("learning", "margin_floor", 0.0), HORIZON),
     ("verify-lmi", ("learning", "margin_floor", -1.0), []),
     ("verify-lmi", ("learning", "Q", [[1.0, 0.0], [0.0, -1.0]]), []),
-    ("run", ("learning", "Q", [[1.0, 0.0], [0.0, -1.0]]), HORIZON),
 ]
 
 
@@ -514,10 +513,13 @@ def _row_ids(rows):
 
 
 def test_invalid_value_ids_are_unique():
+    rows = [("run", ("learning", "Q", [[1.0]]), []),
+            ("run", ("learning", "Q", [[-1.0]]), HORIZON),
+            ("run", None, ["--dt", "-1"])]
+    assert _row_ids(rows) == ["run-learning.Q", "run-learning.Q=[[-1.0]]",
+                              "run---dt -1"]
     ids = _row_ids(INVALID_VALUES)
     assert len(set(ids)) == len(ids)
-    assert "run-learning.Q" in ids
-    assert "run-learning.Q=[[1.0, 0.0], [0.0, -1.0]]" in ids
 
 
 @pytest.mark.parametrize("command, edit, extra", INVALID_VALUES,

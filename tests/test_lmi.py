@@ -500,17 +500,39 @@ def test_norm_weights_bound_each_term_of_the_matrix(n, q, seed):
 @given(n=st.sampled_from([1, 2, 3]), q=st.sampled_from([1, 2]),
        count=st.integers(1, 9), step=st.sampled_from([1e-3, 0.1, 1.0]),
        scale=st.sampled_from([1.0, 1e3, 1e6]), incumbent=st.booleans(),
-       quantile=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+       quantile=st.floats(0.0, 1.0), kept=st.sampled_from([1, 3, 4096]),
+       seed=st.integers(0, 2**32 - 1))
 def test_subgradient_prune_is_exact(n, q, count, step, scale, incumbent,
-                                    quantile, seed):
+                                    quantile, kept, seed):
     # a pruned candidate's full penalty is at least the bound, so it could not
     # have been accepted; a survivor's penalty is unchanged, and the minorant
     # handed back is the one its own evaluation gives.  The bound is the
     # exact penalty of the incumbent (candidate 0) or of another candidate.
+    # The minorant keeps at most BATCH_MATRICES thetas, here `kept`, so that
+    # its subsets are tested at n <= 3 as at n = 4.
+    batch_matrices, top_eigenvalues = lmi.BATCH_MATRICES, lmi._top_eigenvalues
+    lmi.BATCH_MATRICES = kept
+    try:
+        _check_subgradient_prune(n, q, count, step, scale, incumbent,
+                                 quantile, kept, seed)
+    finally:
+        lmi.BATCH_MATRICES, lmi._top_eigenvalues = (batch_matrices,
+                                                    top_eigenvalues)
+
+
+def _check_subgradient_prune(n, q, count, step, scale, incumbent, quantile,
+                             kept, seed):
     rng, problem, *best = _random_instance(n, q, seed)
     thetas = problem.theta_vertices()
     [best_pen], minorant = lmi._penalties(
         problem, *(b[None] for b in best), thetas)
+    # it is taken where the incumbent peaks, so there it is tight
+    G, w = minorant
+    p1 = _p1(*(b[None] for b in best))[0]
+    peak = lmi._top_eigenvalues(problem, *(b[None] for b in best),
+                                thetas)[0].max()
+    assert len(G) == min(kept, len(thetas))
+    assert abs(np.max(G @ p1) - peak) <= lmi.PRUNE_SLACK * (np.abs(p1) @ w)
     P, R, l1, l2 = (scale * (b + step * rng.normal(size=(count,) + b.shape))
                     for b in best)
     P[0], R[0], l1[0], l2[0] = best
@@ -525,11 +547,9 @@ def test_subgradient_prune_is_exact(n, q, count, step, scale, incumbent,
         return top_eigenvalues(problem, *cands_and_thetas)
 
     lmi._top_eigenvalues = recorded
-    try:
-        pens, found = lmi._penalties(problem, P, R, l1, l2, thetas, bound,
-                                     minorant)
-    finally:
-        lmi._top_eigenvalues = top_eigenvalues
+    pens, found = lmi._penalties(problem, P, R, l1, l2, thetas, bound,
+                                 minorant)
+    lmi._top_eigenvalues = top_eigenvalues
     first = None
     for k, (row, pen, unpruned) in enumerate(zip(_p1(P, R, l1, l2), pens,
                                                   full)):
