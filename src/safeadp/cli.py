@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 import tempfile
 from dataclasses import fields, replace
@@ -68,14 +69,29 @@ def _certificates(problem) -> dict:
             for mode in lmi.VERIFY_MODES}
 
 
-def _check_writable(out: Path):
-    """Raise OSError, creating nothing, unless a file can be made in the
-    nearest existing ancestor of `out`."""
+def _staging_dir(out: Path) -> Path:
+    """A new directory in the nearest existing one of `out` and its
+    ancestors, for a run to write into before `_publish` moves it to `out`;
+    OSError if none can be made there."""
     existing = next(p for p in (out, *out.parents) if p.exists())
     try:
-        tempfile.TemporaryFile(dir=existing).close()
+        return Path(tempfile.mkdtemp(prefix=".safeadp-", dir=existing))
     except OSError as exc:
         raise OSError(f"cannot write {out}: {exc.strerror}") from exc
+
+
+def _publish(staged: Path, out: Path):
+    """Move the tree `staged` to `out` by renames: in one if `out` does not
+    exist, else file by file, each replacing its namesake in `out`."""
+    if not out.exists():
+        out.parent.mkdir(parents=True, exist_ok=True)
+        staged.rename(out)
+        return
+    for path in staged.iterdir():
+        if path.is_dir():
+            _publish(path, out / path.name)
+        else:
+            path.replace(out / path.name)
 
 
 def _write_json(path: Path, payload):
@@ -95,21 +111,25 @@ def _cmd_run(args) -> int:
         if synth_cert is not None:
             certs["synthesis"] = synth_cert.to_json_dict()
 
+    # the files are written into a staging directory, made before the run,
+    # and moved to `out` at the end, so a failed run leaves no `out`
     out = Path(args.out)
-    _check_writable(out)
+    staged = _staging_dir(out)
     try:
-        log, summary = run(problem)
-    except (ValueError, MemoryError) as exc:  # MemoryError: a log too large
-        print(json.dumps({"error": "run_error", "reason": str(exc)}))
-        return EXIT_RUN_FAILED
-    out.mkdir(parents=True, exist_ok=True)
-    if certs is not None:
-        summary.certificate_file = "certificate.json"
-        _write_json(out / summary.certificate_file, certs)
-    log.to_csv(out / "trajectory.csv")
-    _write_plotdata(out, log)
-
-    _write_json(out / "summary.json", summary.to_json_dict())
+        try:
+            log, summary = run(problem)
+        except (ValueError, MemoryError) as exc:  # MemoryError: a huge log
+            print(json.dumps({"error": "run_error", "reason": str(exc)}))
+            return EXIT_RUN_FAILED
+        if certs is not None:
+            summary.certificate_file = "certificate.json"
+            _write_json(staged / summary.certificate_file, certs)
+        log.to_csv(staged / "trajectory.csv")
+        _write_plotdata(staged, log)
+        _write_json(staged / "summary.json", summary.to_json_dict())
+        _publish(staged, out)
+    finally:
+        shutil.rmtree(staged, ignore_errors=True)
     if summary.ok:
         print(f"run complete: {log.size} records, min h = {summary.min_h:.6g}, "
               f"terminal |x| = {np.linalg.norm(summary.terminal_x):.6g}")

@@ -146,6 +146,10 @@ class SafetyConfig:
     def __post_init__(self):
         if self.kind not in ("parabola_interior", "circular_obstacle", "none"):
             raise ValueError(f"unknown kind {self.kind!r}")
+        if not np.isfinite(np.asarray(self.center, float)).all():
+            raise ValueError("center must be finite")
+        if not 0 < self.radius < np.inf:
+            raise ValueError("radius must be positive and finite")
 
     def build(self) -> SafetySpec | None:
         if self.kind == "none":
@@ -191,6 +195,15 @@ class PointsConfig:
     def __post_init__(self):
         if self.kind not in ("grid", "explicit"):
             raise ValueError("kind must be 'grid' or 'explicit'")
+        if not 0 < self.halfwidth < np.inf:
+            raise ValueError("halfwidth must be positive and finite")
+        if not self.per_axis >= 1:
+            raise ValueError("per_axis must be >= 1")
+        if not (self.repel_center is None
+                or np.isfinite(np.asarray(self.repel_center, float)).all()):
+            raise ValueError("repel_center must be None or finite")
+        if not (self.repel_radius is None or 0 < self.repel_radius < np.inf):
+            raise ValueError("repel_radius must be None or positive and finite")
 
     def build(self) -> np.ndarray:
         if self.kind == "explicit":

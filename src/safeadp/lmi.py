@@ -43,6 +43,8 @@ class LmiProblem:
     Kg2: np.ndarray
     alpha: float
     A: np.ndarray = field(init=False)
+    gap_f: np.ndarray = field(init=False)
+    gap_g: np.ndarray = field(init=False)
 
     def __post_init__(self):
         for attr in ("C", "Kf1", "Kf2", "Kg1", "Kg2"):
@@ -56,6 +58,8 @@ class LmiProblem:
         if self.C.ndim != 2 or self.C.shape[1] != n:
             raise ValueError("C must have shape (q, n)")
         object.__setattr__(self, "A", self.Kf1 + self.Kg1)
+        object.__setattr__(self, "gap_f", self.Kf2 - self.Kf1)
+        object.__setattr__(self, "gap_g", self.Kg2 - self.Kg1)
 
     @property
     def n(self) -> int:
@@ -105,72 +109,93 @@ class LmiCertificate:
                 "worst_theta": np.asarray(self.worst_theta).tolist()}
 
 
+@dataclass(frozen=True)
+class _ThetaStack:
+    """A stack of theta matrices (..., n, n) with the products that the
+    assembly takes of theta alone, so that a search forms them once."""
+
+    theta: np.ndarray
+    A_theta: np.ndarray
+    C_theta: np.ndarray
+    A_theta_T: np.ndarray
+    C_theta_T: np.ndarray
+
+
+def _theta_stack(problem: LmiProblem, theta) -> _ThetaStack:
+    """The `_ThetaStack` of one theta (n, n) or of a stack of them."""
+    theta = np.asarray(theta, float)
+    if theta.shape[-2:] != (problem.n, problem.n):
+        raise ValueError("dimension mismatch in verification matrix assembly")
+    A_theta, C_theta = problem.A @ theta, problem.C @ theta
+    return _ThetaStack(theta, A_theta, C_theta, A_theta.swapaxes(-1, -2),
+                       C_theta.swapaxes(-1, -2))
+
+
 def assemble_lmi_matrix(problem: LmiProblem, P, R_lmi, l1, l2, theta) -> np.ndarray:
     """Symmetric 2n x 2n verification matrix for each candidate and each theta.
 
     P may be one n x n matrix or a stack (..., n, n) of candidates, with
     R_lmi, l1 and l2 of shape (..., n, q) to match; theta is one n x n
-    matrix or a stack of them.  The result has shape
-    (candidates..., thetas..., 2n, 2n).
+    matrix or a stack of them, or the `_ThetaStack` of either.  The result
+    has shape (candidates..., thetas..., 2n, 2n).
     """
-    n = problem.n
+    n, q = problem.n, problem.q
     P = np.asarray(P, float)
     lead = P.shape[:-2]
-    R = np.asarray(R_lmi, float).reshape(lead + (n, problem.q))
-    l1 = np.asarray(l1, float).reshape(lead + (n, problem.q))
-    l2 = np.asarray(l2, float).reshape(lead + (n, problem.q))
-    theta = np.asarray(theta, float)
-    if P.shape[-2:] != (n, n) or theta.shape[-2:] != (n, n):
+    R = np.asarray(R_lmi, float).reshape(lead + (n, q))
+    l1 = np.asarray(l1, float).reshape(lead + (n, q))
+    l2 = np.asarray(l2, float).reshape(lead + (n, q))
+    th = (theta if isinstance(theta, _ThetaStack)
+          else _theta_stack(problem, theta))
+    if P.shape[-2:] != (n, n):
         raise ValueError("dimension mismatch in verification matrix assembly")
 
     # candidate terms broadcast over the theta axes
-    over_theta = (1,) * (theta.ndim - 2)
+    over_theta = (1,) * (th.theta.ndim - 2)
     Pb = P.reshape(lead + over_theta + (n, n))
-    Rb = R.reshape(lead + over_theta + (n, problem.q))
-    A_theta = problem.A @ theta
-    C_theta = problem.C @ theta
-    gap_f = problem.Kf2 - problem.Kf1
-    gap_g = problem.Kg2 - problem.Kg1
+    Rb = R.reshape(lead + over_theta + (n, q))
     eye = np.eye(n)
 
-    top_left = (np.swapaxes(A_theta, -1, -2) @ Pb + Pb @ A_theta
-                - np.swapaxes(C_theta, -1, -2) @ np.swapaxes(Rb, -1, -2)
-                - Rb @ C_theta
+    top_left = (th.A_theta_T @ Pb + Pb @ th.A_theta
+                - th.C_theta_T @ Rb.swapaxes(-1, -2)
+                - Rb @ th.C_theta
                 + 2.0 * problem.alpha * Pb)
     lower_off = (np.sqrt(2.0) * P
-                 + gap_f @ (eye - l1 @ problem.C)
-                 + gap_g @ (eye - l2 @ problem.C)).reshape(Pb.shape)
+                 + problem.gap_f @ (eye - l1 @ problem.C)
+                 + problem.gap_g @ (eye - l2 @ problem.C)).reshape(Pb.shape)
     # only the top-left block needs symmetrizing: 0.5 * (x + x) == x exactly
     M = np.empty(top_left.shape[:-2] + (2 * n, 2 * n))
-    M[..., :n, :n] = 0.5 * (top_left + np.swapaxes(top_left, -1, -2))
-    M[..., :n, n:] = np.swapaxes(lower_off, -1, -2)
+    M[..., :n, :n] = 0.5 * (top_left + top_left.swapaxes(-1, -2))
+    M[..., :n, n:] = lower_off.swapaxes(-1, -2)
     M[..., n:, :n] = lower_off
     M[..., n:, n:] = -3.0 * eye
     return M
 
 
-def _thetas(problem: LmiProblem, mode: str) -> np.ndarray:
+def _thetas(problem: LmiProblem, mode: str) -> _ThetaStack:
     """The stack of theta matrices that a mode checks."""
     if mode not in VERIFY_MODES:
         raise ValueError(f"unknown verification mode {mode!r}")
-    return (np.eye(problem.n)[None] if mode == "theta_identity"
-            else problem.theta_vertices())
+    return _theta_stack(problem, np.eye(problem.n)[None]
+                        if mode == "theta_identity"
+                        else problem.theta_vertices())
 
 
 def _top_eigenvalues(problem: LmiProblem, P, R_lmi, l1, l2, thetas):
-    """(top eigenvalues, injection norms, matrices) of K candidates at T
-    thetas: P is (K, n, n), R_lmi, l1 and l2 are (K, n, q) and thetas is
-    (T, n, n).  The eigenvalues are (K, T), the norms (K, 2), |l1 C| and
-    |l2 C|, and the matrices the assembled (K, T, 2n, 2n) stack."""
-    P = np.asarray(P, float)
-    shape = P.shape[:-2] + (problem.n, problem.q)
-    l1 = np.asarray(l1, float).reshape(shape)
-    l2 = np.asarray(l2, float).reshape(shape)
-    # the spectral norm is the largest singular value: one SVD for all norms
-    norms = np.linalg.svd(np.stack([l1 @ problem.C, l2 @ problem.C], axis=-3),
-                          compute_uv=False).max(axis=-1)
+    """(top eigenvalues, matrices) of K candidates at T thetas: P is
+    (K, n, n), R_lmi, l1 and l2 are (K, n, q) and thetas is (T, n, n) or its
+    `_ThetaStack`.  The eigenvalues are (K, T) and the matrices the assembled
+    (K, T, 2n, 2n) stack."""
     M = assemble_lmi_matrix(problem, P, R_lmi, l1, l2, thetas)
-    return np.linalg.eigvalsh(M)[..., -1], norms, M
+    return np.linalg.eigvalsh(M)[..., -1], M
+
+
+def _injection_norms(problem: LmiProblem, gains) -> np.ndarray:
+    """|l1 C| and |l2 C| of each of K candidates, (K, 2), from its l1 and l2
+    raveled into one row of `gains` (K, 2nq): the spectral norm is the
+    largest singular value, so one SVD takes all of them."""
+    LC = np.reshape(gains, (-1, 2, problem.n, problem.q)) @ problem.C
+    return np.linalg.svd(LC, compute_uv=False).max(axis=-1)
 
 
 def verify_gains(problem: LmiProblem, P, R_lmi, l1, l2,
@@ -179,16 +204,18 @@ def verify_gains(problem: LmiProblem, P, R_lmi, l1, l2,
     """Check negativity of the verification matrix and the injection-norm caps
     in one of the VERIFY_MODES."""
     thetas = _thetas(problem, mode)
-    eigs, norms, _ = _top_eigenvalues(
-        problem, np.asarray(P, float)[None], R_lmi, l1, l2, thetas)
+    eigs, _ = _top_eigenvalues(problem, np.asarray(P, float)[None], R_lmi,
+                               l1, l2, thetas)
     eigs = eigs[0].tolist()
-    norm1, norm2 = norms[0].tolist()
+    norm1, norm2 = _injection_norms(
+        problem, np.concatenate([np.ravel(l1), np.ravel(l2)]))[0].tolist()
     worst = int(np.argmax(eigs))
     max_eig = eigs[worst]
     feasible = (max_eig < -tol) and norm1 <= 1.0 and norm2 <= 1.0
     return LmiCertificate(
-        feasible=feasible, max_eigenvalue=max_eig, worst_theta=thetas[worst],
-        norm_l1C=norm1, norm_l2C=norm2, mode=mode, tolerance=tol,
+        feasible=feasible, max_eigenvalue=max_eig,
+        worst_theta=thetas.theta[worst], norm_l1C=norm1, norm_l2C=norm2,
+        mode=mode, tolerance=tol,
         vertex_eigenvalues=eigs if mode == "all_vertices" else None)
 
 
@@ -224,12 +251,19 @@ BATCH_MATRICES = 4096
 PRUNE_SLACK = 1e-9
 
 
-def _project_pd(P: np.ndarray) -> np.ndarray:
-    """Each matrix of a stack (..., n, n), symmetrized with its eigenvalues
-    clipped at PD_FLOOR."""
-    P = 0.5 * (P + np.swapaxes(P, -1, -2))
-    ev, V = np.linalg.eigh(P)
-    return (V * np.maximum(ev, PD_FLOOR)[..., None, :]) @ np.swapaxes(V, -1, -2)
+def _project_pd(P: np.ndarray) -> None:
+    """Symmetrize each matrix of a stack (..., n, n) in place and clip its
+    eigenvalues at PD_FLOOR."""
+    ev, V = np.linalg.eigh(0.5 * (P + P.swapaxes(-1, -2)))
+    P[...] = (V * np.maximum(ev, PD_FLOOR)[..., None, :]) @ V.swapaxes(-1, -2)
+
+
+def _parts(problem: LmiProblem, p1: np.ndarray):
+    """P, R_lmi, l1 and l2 of each row p1 = (1, P, R_lmi, l1, l2) of a
+    stack (K, 1 + n^2 + 3nq), as views of shape (K, n, n) and (K, n, q)."""
+    n, q = problem.n, problem.q
+    cuts = [1, 1 + n * n, 1 + n * (n + q), 1 + n * (n + 2 * q), p1.shape[1]]
+    return [p1[:, a:b].reshape(len(p1), n, -1) for a, b in zip(cuts, cuts[1:])]
 
 
 def _minorant(problem: LmiProblem, thetas, v):
@@ -245,7 +279,7 @@ def _minorant(problem: LmiProblem, thetas, v):
         g_l1 = -2 (gap_f^T b) (C a)^T,   g_l2 = -2 (gap_g^T b) (C a)^T.
     g_P keeps its two transposed terms because a candidate P is symmetric
     only to rounding, and the assembly uses it unsymmetrized."""
-    gap_f, gap_g = problem.Kf2 - problem.Kf1, problem.Kg2 - problem.Kg1
+    gap_f, gap_g = problem.gap_f, problem.gap_g
     a, b = v[:, :problem.n], v[:, problem.n:]
     theta_a = np.einsum("tij,tj->ti", thetas, a)
     A_a, C_a = theta_a @ problem.A.T, theta_a @ problem.C.T
@@ -272,61 +306,63 @@ def _norm_weights(problem: LmiProblem) -> np.ndarray:
     (Frobenius norms on the right)."""
     n, q, norm = problem.n, problem.q, np.linalg.norm
     A, C = norm(problem.A), norm(problem.C)
-    gap_f = norm(problem.Kf2 - problem.Kf1)
-    gap_g = norm(problem.Kg2 - problem.Kg1)
+    gap_f, gap_g = norm(problem.gap_f), norm(problem.gap_g)
     return np.repeat([3.0 + gap_f + gap_g,
                       2.0 * n * A + 2.0 * problem.alpha + np.sqrt(2.0),
                       2.0 * n * C, gap_f * C, gap_g * C],
                      [1, n * n, n * q, n * q, n * q])
 
 
-def _penalties(problem: LmiProblem, P, R, l1, l2, thetas, bound=np.inf,
+def _penalties(problem: LmiProblem, p1, thetas: _ThetaStack, bound=np.inf,
                minorant=None):
-    """Search penalty of each candidate of a stack (the top eigenvalue over
-    thetas plus a hinge on the injection norms) and, with several thetas, the
-    minorant (G, w) of the first candidate whose penalty is below bound: its
-    `_minorant` rows at its top eigenvectors, at the BATCH_MATRICES thetas
-    where its top eigenvalue is highest, and the `_norm_weights` (None if no
-    candidate's penalty is below bound).
+    """One entry per candidate row p1 = (1, P, R_lmi, l1, l2) of a stack
+    (K, 1 + n^2 + 3nq) and, with several thetas, the minorant (G, w) of the
+    first candidate whose penalty is below bound: its `_minorant` rows at its
+    top eigenvectors, at the BATCH_MATRICES thetas where its top eigenvalue
+    is highest, and the `_norm_weights` (None if no penalty is below bound).
 
-    Given the minorant of the incumbent whose penalty is bound, each candidate
-    p first gets max_t G[t] . p1 - PRUNE_SLACK * |p1| . w, a lower bound on
-    its top eigenvalue and so on its penalty (the hinge is >= 0).  One whose
-    lower bound is >= bound could never be accepted: it is pruned, with that
-    lower bound as its entry.  The others are evaluated at every theta, bit
-    for bit as if unpruned.
+    A penalty is the top eigenvalue over thetas plus a hinge on the
+    injection norms.  An entry below bound is the candidate's penalty, bit
+    for bit; any other entry is a lower bound on it that is >= bound, so
+    that candidate could not have been accepted.  Given the minorant of the
+    incumbent whose penalty is bound, each candidate first gets
+    max_t G[t] . p1 - PRUNE_SLACK * |p1| . w, a lower bound on its top
+    eigenvalue, and keeps it as its entry if it is >= bound.  The others are
+    evaluated at every theta, and as the hinge is >= 0, only those whose top
+    eigenvalue is below bound take their injection norms.
     """
-    def penalty(top, norms):
-        return max(top) + 100.0 * (max(0.0, norms[0] - 1.0)
-                                   + max(0.0, norms[1] - 1.0))
-
-    pens, live = [None] * len(P), range(len(P))
+    entries, live = np.empty(len(p1)), slice(None)
     if minorant is not None:
         G, w = minorant
-        p1 = np.concatenate([np.ones((len(P), 1))]
-                            + [a.reshape(len(P), -1) for a in (P, R, l1, l2)],
-                            axis=1)
-        pens = (np.max(p1 @ G.T, axis=1)
-                - PRUNE_SLACK * (np.abs(p1) @ w)).tolist()
-        live = [i for i, pen in enumerate(pens) if pen < bound]
-        P, R, l1, l2 = (a[live] for a in (P, R, l1, l2))
-    if not len(live):
-        return pens, None
-    eigs, norms, M = _top_eigenvalues(problem, P, R, l1, l2, thetas)
-    for i, top, norm in zip(live, eigs.tolist(), norms.tolist()):
-        pens[i] = penalty(top, norm)
-    first = next((k for k, i in enumerate(live) if pens[i] < bound), None)
-    if len(thetas) == 1 or first is None:
-        return pens, None
+        entries = (np.max(p1 @ G.T, axis=1)
+                   - PRUNE_SLACK * (np.abs(p1) @ w))
+        live = np.flatnonzero(entries < bound)
+        if not len(live):
+            return entries, None
+        p1 = p1[live]
+    P, R, l1, l2 = _parts(problem, p1)
+    eigs, M = _top_eigenvalues(problem, P, R, l1, l2, thetas)
+    pens = eigs.max(axis=1)     # the top eigenvalues, penalties where low
+    low = np.flatnonzero(pens < bound)
+    if len(low):
+        gains = p1[low, -2 * problem.n * problem.q:]
+        hinge = np.maximum(_injection_norms(problem, gains) - 1.0, 0.0)
+        pens[low] += 100.0 * (hinge[:, 0] + hinge[:, 1])
+    entries[live] = pens
+    below = low[pens[low] < bound]
+    if len(thetas.theta) == 1 or not len(below):
+        return entries, None
     # eigh for the top eigenvectors only, the penalties stay those of
     # eigvalsh.  A maximum over any subset of the thetas' minorants is still a
     # lower bound, so they are taken at the BATCH_MATRICES thetas where the
     # candidate peaks: at n = 4 an eigh of all 2^16 would cost twice the
     # eigvalsh of the evaluation, at every acceptance
+    first = below[0]
     top = np.argsort(eigs[first])[-BATCH_MATRICES:]
-    G = _minorant(problem, thetas[top],
+    G = _minorant(problem, thetas.theta[top],
                   np.linalg.eigh(M[first, top])[1][..., -1])
-    return pens, (G, _norm_weights(problem))
+    return entries, (G, _norm_weights(problem) if minorant is None
+                     else minorant[1])
 
 
 def synthesize_gains(problem: LmiProblem, search: SearchParams = SearchParams(),
@@ -341,30 +377,33 @@ def synthesize_gains(problem: LmiProblem, search: SearchParams = SearchParams(),
 
     Each iteration perturbs the best point so far with fresh Gaussian noise
     and keeps the candidate if its penalty is lower, growing the step on
-    success and shrinking it otherwise.  The candidates of the next BATCH
-    iterations are evaluated together, on the guess that none of them is
-    accepted; the first accepted one ends the batch, and the noise drawn for
-    the candidates after it is used by the next batch.  A batch's noise is
-    drawn in one call, row by row in the order of the one-candidate loop, and
-    with several thetas only the candidates whose subgradient lower bound,
-    taken at the best point's top eigenvectors, does not already reject them
-    are evaluated at all of them.  The result is that of evaluating one
-    candidate at a time at every theta.
+    success and shrinking it otherwise.  Every candidate, and the best point,
+    is one row p1 = (1, P, R_lmi, l1, l2).  The candidates of the next BATCH
+    iterations are built as the rows of one buffer and evaluated together,
+    on the guess that none of them is accepted; the first accepted one ends
+    the batch, and the noise drawn for the candidates after it is used by the
+    next batch.  A batch's noise is drawn in one call, row by row in the
+    order of the one-candidate loop.  The theta products are formed once per
+    search; with several thetas only the candidates whose subgradient lower
+    bound, taken at the best point's top eigenvectors, does not already
+    reject them are evaluated at all of them, and only the candidates whose
+    top eigenvalue could still be accepted take their injection norms.  The
+    result is that of evaluating one candidate at a time at every theta.
     """
     n, q = problem.n, problem.q
     rng = np.random.default_rng(search.seed)
     thetas = _thetas(problem, mode)
-    batch = max(1, min(BATCH, BATCH_MATRICES // len(thetas)))
+    batch = max(1, min(BATCH, BATCH_MATRICES // len(thetas.theta)))
 
-    best = (np.eye(n), np.zeros((n, q)), np.zeros((n, q)), np.zeros((n, q)))
-    [best_pen], minorant = _penalties(problem, *(b[None] for b in best),
-                                      thetas)
+    best = np.concatenate([[1.0], np.eye(n).ravel(), np.zeros(3 * n * q)])
+    [best_pen], minorant = _penalties(problem, best[None], thetas)
     step = search.step
+    # a step s moves P and R_lmi by s times their noise, l1 and l2 by 0.1 s
+    scale = np.repeat([1.0, 0.1], [n * n + n * q, 2 * n * q])
     # one row per iteration: its P, R_lmi, l1 and l2 perturbations, raveled;
     # the first `drawn` rows hold noise that no candidate has used yet
     noise = np.empty((batch, n * n + 3 * n * q))
-    parts = [d.reshape(batch, n, -1) for d in np.split(
-        noise, [n * n, n * n + n * q, n * n + 2 * n * q], axis=1)]
+    cands = np.ones((batch, 1 + n * n + 3 * n * q))
     drawn = 0
     left = search.budget if best_pen > -search.tol else 0
     while left > 0:
@@ -373,23 +412,27 @@ def synthesize_gains(problem: LmiProblem, search: SearchParams = SearchParams(),
         steps = [step]      # the steps if every candidate is rejected
         for _ in range(k):
             steps.append(max(steps[-1] * 0.97, 1e-4))
-        s = np.array(steps[:k])[:, None, None]
-        dP, dR, d1, d2 = (d[:k] for d in parts)
-        cands = (_project_pd(best[0] + s * dP), best[1] + s * dR,
-                 best[2] + 0.1 * s * d1, best[3] + 0.1 * s * d2)
-        pens, found = _penalties(problem, *cands, thetas, best_pen, minorant)
-        j = next((j for j, pen in enumerate(pens) if pen < best_pen), None)
-        if j is None:
+        s = np.array(steps[:k])[:, None]
+        cands[:k, 1:] = best[1:] + s * scale * noise[:k]
+        _project_pd(_parts(problem, cands[:k])[0])
+        entries, found = _penalties(problem, cands[:k], thetas, best_pen,
+                                    minorant)
+        accepted = np.flatnonzero(entries < best_pen)
+        if not len(accepted):
             used, step = k, steps[k]
         else:
+            j = int(accepted[0])
             used, step = j + 1, min(steps[j] * 1.3, 10.0)
-            best = tuple(c[j] for c in cands)
-            best_pen, minorant = pens[j], found
+            best = cands[j].copy()
+            best_pen, minorant = entries[j], found
         noise[:k - used] = noise[used:k]
         drawn = k - used
         left = 0 if best_pen < -search.tol else left - used
 
-    P, R, l1, l2 = best
+    # the verification forms its own theta products (about 10 MiB at n = 4),
+    # so the search's are let go first
+    del thetas, minorant
+    P, R, l1, l2 = (a[0] for a in _parts(problem, best[None]))
     l3 = np.linalg.solve(P, R)
     cert = verify_gains(problem, P, R, l1, l2, mode=mode, tol=search.tol)
     return P, l1, l2, l3, cert

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -425,6 +426,38 @@ def test_cli_run_unwritable_out_fails_before_the_run(tmp_path, capsys,
     assert blocker.read_text() == ""
 
 
+def test_cli_run_failed_write_leaves_no_out(tmp_path, capsys, monkeypatch):
+    # the files go to a staging directory that becomes `out` only at the
+    # end, so a write that fails after the first file leaves nothing behind
+    def full_disk(out, log):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("safeadp.cli._write_plotdata", full_disk)
+    out = tmp_path / "out"
+    code = main(["run", "--preset", "study2", "--horizon", "0.02",
+                 "--out", str(out)])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "io_error"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_run_into_an_existing_out_replaces_its_files(tmp_path):
+    out = tmp_path / "out"
+    (out / "plotdata").mkdir(parents=True)
+    (out / "summary.json").write_text("stale")
+    (out / "notes.txt").write_text("kept")
+    argv = ["run", "--preset", "study2", "--horizon", "0.02"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert main([*argv, "--out", str(tmp_path / "fresh")]) == 0
+    fresh = {p.relative_to(tmp_path / "fresh"): p.read_bytes()
+             for p in (tmp_path / "fresh").rglob("*") if p.is_file()}
+    files = {p.relative_to(out): p.read_bytes()
+             for p in out.rglob("*") if p.is_file()}
+    assert files == {**fresh, Path("notes.txt"): b"kept"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "out"]
+
+
 SYNTHESIZE = ("observer", "gains", "synthesize")
 HORIZON = ["--horizon", "0.01"]
 
@@ -594,6 +627,18 @@ NONFINITE_VALUES = [
     ("sim", "ultimate_bound_err", NAN, "sim.ultimate_bound_err-nan"),
     ("sim", "ultimate_bound_x", -1.0, "sim.ultimate_bound_x--1"),
     ("sim", "ultimate_bound_err", -1.0, "sim.ultimate_bound_err--1"),
+    # the obstacle and the point grid are checked where they are parsed,
+    # whether or not the preset's safe set or point kind uses them
+    ("safety", "center", (INF, 0.6), "safety.center-inf"),
+    ("safety", "center", (NAN, 0.6), "safety.center-nan"),
+    ("safety", "radius", INF, "safety.radius-inf"),
+    ("learning.points", "halfwidth", INF, "learning.points.halfwidth-inf"),
+    ("learning.points", "halfwidth", NAN, "learning.points.halfwidth-nan"),
+    ("learning.points", "halfwidth", -1.0, "learning.points.halfwidth--1"),
+    ("learning.points", "repel_center", (NAN, 0.6),
+     "learning.points.repel_center-nan"),
+    ("learning.points", "repel_radius", NAN,
+     "learning.points.repel_radius-nan"),
 ]
 
 
@@ -601,7 +646,7 @@ NONFINITE_VALUES = [
                          ids=[r[3] for r in NONFINITE_VALUES])
 def test_nonfinite_value_is_a_config_error(section, key, value):
     raw = preset("study1").to_dict()
-    raw[section][key] = value
+    _object(raw, section)[key] = value
     with pytest.raises(ConfigError, match=section):
         build_problem(RunConfig.from_dict(raw))
 

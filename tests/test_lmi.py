@@ -504,69 +504,82 @@ def test_norm_weights_bound_each_term_of_the_matrix(n, q, seed):
        seed=st.integers(0, 2**32 - 1))
 def test_subgradient_prune_is_exact(n, q, count, step, scale, incumbent,
                                     quantile, kept, seed):
-    # a pruned candidate's full penalty is at least the bound, so it could not
-    # have been accepted; a survivor's penalty is unchanged, and the minorant
-    # handed back is the one its own evaluation gives.  The bound is the
-    # exact penalty of the incumbent (candidate 0) or of another candidate.
-    # The minorant keeps at most BATCH_MATRICES thetas, here `kept`, so that
-    # its subsets are tested at n <= 3 as at n = 4.
-    batch_matrices, top_eigenvalues = lmi.BATCH_MATRICES, lmi._top_eigenvalues
+    # an entry below the bound is the candidate's exact penalty; any other
+    # entry lies between the bound and that penalty, so the candidate could
+    # not have been accepted; and the minorant handed back is the one its own
+    # evaluation gives.  The bound is the exact penalty of the incumbent
+    # (candidate 0) or of another candidate.  The minorant keeps at most
+    # BATCH_MATRICES thetas, here `kept`, so that its subsets are tested at
+    # n <= 3 as at n = 4.
+    batch_matrices = lmi.BATCH_MATRICES
     lmi.BATCH_MATRICES = kept
     try:
         _check_subgradient_prune(n, q, count, step, scale, incumbent,
                                  quantile, kept, seed)
     finally:
-        lmi.BATCH_MATRICES, lmi._top_eigenvalues = (batch_matrices,
-                                                    top_eigenvalues)
+        lmi.BATCH_MATRICES = batch_matrices
 
 
 def _check_subgradient_prune(n, q, count, step, scale, incumbent, quantile,
                              kept, seed):
     rng, problem, *best = _random_instance(n, q, seed)
-    thetas = problem.theta_vertices()
-    [best_pen], minorant = lmi._penalties(
-        problem, *(b[None] for b in best), thetas)
+    thetas = lmi._thetas(problem, "all_vertices")
+    best = _p1(*(b[None] for b in best))
+    [best_pen], minorant = lmi._penalties(problem, best, thetas)
     # it is taken where the incumbent peaks, so there it is tight
     G, w = minorant
-    p1 = _p1(*(b[None] for b in best))[0]
-    peak = lmi._top_eigenvalues(problem, *(b[None] for b in best),
+    peak = lmi._top_eigenvalues(problem, *lmi._parts(problem, best),
                                 thetas)[0].max()
-    assert len(G) == min(kept, len(thetas))
-    assert abs(np.max(G @ p1) - peak) <= lmi.PRUNE_SLACK * (np.abs(p1) @ w)
-    P, R, l1, l2 = (scale * (b + step * rng.normal(size=(count,) + b.shape))
-                    for b in best)
-    P[0], R[0], l1[0], l2[0] = best
-    full, _ = lmi._penalties(problem, P, R, l1, l2, thetas)
+    assert len(G) == min(kept, len(thetas.theta))
+    assert abs(np.max(G @ best[0]) - peak) <= \
+        lmi.PRUNE_SLACK * (np.abs(best[0]) @ w)
+    p1 = np.repeat(best, count, axis=0)
+    p1[:, 1:] = scale * (p1[:, 1:]
+                         + step * rng.normal(size=(count, p1.shape[1] - 1)))
+    p1[0] = best[0]
+    # the exact penalties, from the per-theta loop
+    cuts = np.cumsum([1, n * n, n * q, n * q])
+    exact = [_frozen_penalty(problem, *(a.reshape(n, -1)
+                                        for a in np.split(row, cuts)[1:]),
+                             "all_vertices") for row in p1]
     bound = (best_pen if incumbent
-             else float(np.quantile(full, quantile, method="nearest")))
-    evaluated = set()
-    top_eigenvalues = lmi._top_eigenvalues
-
-    def recorded(problem, *cands_and_thetas):
-        evaluated.update(row.tobytes() for row in _p1(*cands_and_thetas[:4]))
-        return top_eigenvalues(problem, *cands_and_thetas)
-
-    lmi._top_eigenvalues = recorded
-    pens, found = lmi._penalties(problem, P, R, l1, l2, thetas, bound,
-                                 minorant)
-    lmi._top_eigenvalues = top_eigenvalues
-    first = None
-    for k, (row, pen, unpruned) in enumerate(zip(_p1(P, R, l1, l2), pens,
-                                                  full)):
-        if row.tobytes() in evaluated:
-            assert pen.hex() == unpruned.hex()
-            if first is None and pen < bound:
-                first = k
+             else float(np.quantile(exact, quantile, method="nearest")))
+    entries, found = lmi._penalties(problem, p1, thetas, bound, minorant)
+    for entry, pen in zip(entries, exact):
+        if entry < bound:
+            assert entry.hex() == pen.hex()
         else:
-            assert bound <= pen <= unpruned
-    if first is None:
+            assert bound <= entry <= pen
+    below = np.flatnonzero(entries < bound)
+    if not len(below):
         assert found is None
     else:
-        _, own = lmi._penalties(problem, P[first:first + 1],
-                                R[first:first + 1], l1[first:first + 1],
-                                l2[first:first + 1], thetas)
+        _, own = lmi._penalties(problem, p1[below[0]][None], thetas)
         assert found[0].tobytes() == own[0].tobytes()
         assert found[1].tobytes() == own[1].tobytes()
+
+
+def test_search_takes_injection_norms_only_where_they_can_decide(
+        monkeypatch):
+    # the hinge on the injection norms is >= 0, so a candidate whose top
+    # eigenvalue is not below the best penalty cannot be accepted whatever
+    # its norms: only the others hand their two matrices to the SVD
+    problem = _study_problem("study1")
+    svd_matrices, candidates = [], []
+    svd, eigvalsh = np.linalg.svd, np.linalg.eigvalsh
+
+    def counted_svd(a, *args, **kwargs):
+        svd_matrices.append(int(np.prod(a.shape[:-2])))
+        return svd(a, *args, **kwargs)
+
+    def counted_eigvalsh(a, *args, **kwargs):
+        candidates.append(a.shape[0])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(lmi.np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(lmi.np.linalg, "eigvalsh", counted_eigvalsh)
+    synthesize_gains(problem, SearchParams(seed=0))
+    assert sum(svd_matrices) < 0.1 * 2 * sum(candidates)
 
 
 def test_vertex_search_skips_most_vertex_matrices(monkeypatch):
