@@ -173,7 +173,7 @@ def assemble_lmi_matrix(problem: LmiProblem, P, R_lmi, l1, l2, theta) -> np.ndar
 
 
 def _thetas(problem: LmiProblem, mode: str) -> _ThetaStack:
-    """The stack of theta matrices that a mode checks."""
+    """The `_ThetaStack` of the theta matrices that a mode checks."""
     if mode not in VERIFY_MODES:
         raise ValueError(f"unknown verification mode {mode!r}")
     return _theta_stack(problem, np.eye(problem.n)[None]
