@@ -27,10 +27,12 @@ FEASIBILITY_TOL = 1e-9
 VERIFY_MODES = ("theta_identity", "all_vertices")
 # all_vertices assembles 2^(n^2) matrices in one stack: at n = 4 that is
 MAX_VERTEX_DIM = 4      # 2^16 matrices of 8 x 8, about 32 MiB per temporary
-# An n = 4 all_vertices synthesis at budget 5 peaks at about 111 MiB resident
-# (ru_maxrss, Python 3.11, numpy 2.4; 106 MiB before the search held the
-# minorant of its best point at 4,096 vertices).
-
+# An n = 4 all_vertices synthesis (seed-5 random plant, q = 1; ru_maxrss,
+# Python 3.11, numpy 2.4, 2-core x86-64, medians of three runs) peaks at
+# 112-113 MiB resident and takes 2.4, 7.2 and 19.1 s at budgets 5, 40 and
+# 200.  Forming the theta products at every assembly instead peaked at
+# 111 MiB and took 2.2, 7.0 and 19.8 s; the search holds 10 MiB of them and
+# lets them go before its final verification, which forms its own.
 
 @dataclass(frozen=True)
 class LmiProblem:
