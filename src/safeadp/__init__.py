@@ -2,7 +2,7 @@
 barrier cost, saturated critic-only adaptive controller, and the simulation
 harness that ties them together."""
 
-from .critic import (Basis, LearningConfig, bellman_error,
+from .critic import (Basis, LearningConfig, PointsConfig, bellman_error,
                      critic_derivatives, excitation_level,
                      extrapolation_terms, quadratic_basis_2d,
                      saturated_policy)

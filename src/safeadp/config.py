@@ -102,6 +102,11 @@ class GainsConfig:
     l2: tuple
     l3: tuple
 
+    def __post_init__(self):
+        for key in ("P", "l1", "l2", "l3"):
+            if not np.isfinite(np.asarray(getattr(self, key), float)).all():
+                raise ValueError(f"{key} must be finite")
+
 
 @dataclass(frozen=True)
 class ObserverConfig:
@@ -146,6 +151,8 @@ class SafetyConfig:
     def __post_init__(self):
         if self.kind not in ("parabola_interior", "circular_obstacle", "none"):
             raise ValueError(f"unknown kind {self.kind!r}")
+        if not (0 < self.kappa < np.inf and 0 < self.ell < np.inf):
+            raise ValueError("ell and kappa must be positive and finite")
         if not np.isfinite(np.asarray(self.center, float)).all():
             raise ValueError("center must be finite")
         if not 0 < self.radius < np.inf:
@@ -162,80 +169,12 @@ class SafetyConfig:
                                      ell=self.ell)
 
 
-def grid_points(halfwidth: float, per_axis: int, repel_center=None,
-                repel_radius: float | None = None) -> np.ndarray:
-    """Uniform square grid of extrapolation points.
-
-    Points closer than repel_radius to repel_center are pushed radially out to
-    that ring and clamped back into the square, so the point count is
-    preserved while no point sits inside the repulsion disk interior.
-    """
-    axis = np.linspace(-halfwidth, halfwidth, per_axis)
-    X, Y = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-    if repel_center is not None and repel_radius is not None:
-        c = np.asarray(repel_center, float)
-        d = np.linalg.norm(pts - c, axis=1)
-        close = d < repel_radius
-        safe_d = np.maximum(d[close], 1e-12)
-        pts[close] = c + (pts[close] - c) / safe_d[:, None] * repel_radius
-        pts = np.clip(pts, -halfwidth, halfwidth)
-    return pts
-
-
-@dataclass(frozen=True)
-class PointsConfig:
-    kind: str                      # grid | explicit
-    halfwidth: float = 0.5
-    per_axis: int = 10
-    repel_center: tuple | None = None
-    repel_radius: float | None = None
-    values: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in ("grid", "explicit"):
-            raise ValueError("kind must be 'grid' or 'explicit'")
-        if not 0 < self.halfwidth < np.inf:
-            raise ValueError("halfwidth must be positive and finite")
-        if not self.per_axis >= 1:
-            raise ValueError("per_axis must be >= 1")
-        if not (self.repel_center is None
-                or np.isfinite(np.asarray(self.repel_center, float)).all()):
-            raise ValueError("repel_center must be None or finite")
-        if not (self.repel_radius is None or 0 < self.repel_radius < np.inf):
-            raise ValueError("repel_radius must be None or positive and finite")
-
-    def build(self) -> np.ndarray:
-        if self.kind == "explicit":
-            return np.array(self.values, float)
-        return grid_points(self.halfwidth, self.per_axis,
-                           self.repel_center, self.repel_radius)
-
-
-@dataclass(frozen=True)
-class LearningSettings:
-    k_c: float
-    gamma_c: float
-    beta: float
-    R_u: tuple
-    Q: tuple
-    points: PointsConfig
-    point_envelope: str = "live"
-    margin_floor: float = 1e-6
-
-    def build(self, u_bar: float) -> LearningConfig:
-        """The fields are LearningConfig's, with the points built."""
-        with _invalid("learning"):
-            return LearningConfig(**{**vars(self), "points": self.points.build(),
-                                     "u_bar": u_bar})
-
-
 @dataclass(frozen=True)
 class RunConfig:
     model: ModelConfig
     observer: ObserverConfig
     safety: SafetyConfig
-    learning: LearningSettings
+    learning: LearningConfig
     sim: SimConfig
 
     @classmethod
@@ -279,7 +218,8 @@ def _check_shapes(config: RunConfig, model: SystemModel, L: int):
               ("sim.Wc0", sim.Wc0, (L,)), ("sim.Gamma0", gamma0, (L, L)),
               ("learning.R_u", learning.R_u, (m, m)),
               ("learning.Q", learning.Q, (n, n)),
-              ("learning.points", points, (*np.shape(points)[:1], n))]
+              ("learning.points", points, (*np.shape(points)[:1], n)),
+              ("safety.center", config.safety.center, (n,))]
     if isinstance(gains, GainsConfig):
         checks += [("observer.gains.P", gains.P, (n, n)),
                    *((f"observer.gains.{key}", getattr(gains, key), n * q)
@@ -300,8 +240,7 @@ def build_problem(config: RunConfig):
     _check_shapes(config, model, basis.L)
     gains, cert = config.observer.build(model)
     spec = config.safety.build()
-    learn = config.learning.build(u_bar=model.u_bar)
     problem = ControlProblem(model=model, gains=gains, basis=basis,
-                             learn=learn, spec=spec, sim=config.sim,
+                             learn=config.learning, spec=spec, sim=config.sim,
                              observer_enabled=config.observer.enabled)
     return problem, cert

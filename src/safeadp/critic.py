@@ -8,8 +8,8 @@ forgetting-factor least-squares gain matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -55,45 +55,90 @@ def quadratic_basis_2d() -> Basis:
 CONTROLLER_MODES = ("rlcbf", "lcbf", "none")
 
 
+def grid_points(halfwidth: float, per_axis: int, repel_center=None,
+                repel_radius: float | None = None) -> np.ndarray:
+    """Uniform square grid of extrapolation points.
+
+    Points closer than repel_radius to repel_center are pushed radially out to
+    that ring and clamped back into the square, so the point count is
+    preserved while no point sits inside the repulsion disk interior.
+    """
+    axis = np.linspace(-halfwidth, halfwidth, per_axis)
+    X, Y = np.meshgrid(axis, axis, indexing="ij")
+    pts = np.stack([X.ravel(), Y.ravel()], axis=1)
+    if repel_center is not None and repel_radius is not None:
+        c = np.asarray(repel_center, float)
+        d = np.linalg.norm(pts - c, axis=1)
+        close = d < repel_radius
+        safe_d = np.maximum(d[close], 1e-12)
+        pts[close] = c + (pts[close] - c) / safe_d[:, None] * repel_radius
+        pts = np.clip(pts, -halfwidth, halfwidth)
+    return pts
+
+
+@dataclass(frozen=True)
+class PointsConfig:
+    kind: str                      # grid | explicit
+    halfwidth: float = 0.5
+    per_axis: int = 10
+    repel_center: tuple | None = None
+    repel_radius: float | None = None
+    values: tuple = ()
+
+    def __post_init__(self):
+        if self.kind not in ("grid", "explicit"):
+            raise ValueError("kind must be 'grid' or 'explicit'")
+        if self.kind == "explicit" and len(self.values) < 1:
+            raise ValueError("need at least one extrapolation point")
+        if not 0 < self.halfwidth < np.inf:
+            raise ValueError("halfwidth must be positive and finite")
+        if not self.per_axis >= 1:
+            raise ValueError("per_axis must be >= 1")
+        if not (self.repel_center is None
+                or np.isfinite(np.asarray(self.repel_center, float)).all()):
+            raise ValueError("repel_center must be None or finite")
+        if not (self.repel_radius is None or 0 < self.repel_radius < np.inf):
+            raise ValueError("repel_radius must be None or positive and finite")
+
+    def build(self) -> np.ndarray:
+        if self.kind == "explicit":
+            return np.array(self.values, float)
+        return grid_points(self.halfwidth, self.per_axis,
+                           self.repel_center, self.repel_radius)
+
+
 @dataclass(frozen=True)
 class LearningConfig:
-    """Gains and data for the extrapolated-Bellman-error update laws."""
+    """The `learning` section: gains and data for the extrapolated-Bellman-
+    error update laws.  The saturation level is the plant's u_bar."""
 
     k_c: float
     gamma_c: float
     beta: float
-    u_bar: float
-    R_u: np.ndarray            # (m, m) diagonal control weight
-    Q: np.ndarray              # (n, n) PSD state weight, cost x' Q x
-    points: np.ndarray         # (N, n) fixed extrapolation locations
+    R_u: Any                   # (m, m) diagonal control weight
+    Q: Any                     # (n, n) PSD state weight, cost x' Q x
+    points: PointsConfig
     point_envelope: str = "live"   # "live": envelope component tracks t; "zero": fixed 0
     margin_floor: float = 1e-6     # clamp for extrapolation points only
-    R_u_inv: np.ndarray = field(init=False)   # derived from R_u
 
     def __post_init__(self):
-        object.__setattr__(self, "R_u", np.atleast_2d(np.asarray(self.R_u, float)))
-        object.__setattr__(self, "Q", np.atleast_2d(np.asarray(self.Q, float)))
-        object.__setattr__(self, "points", np.atleast_2d(np.asarray(self.points, float)))
         if not (0 < self.k_c < np.inf and 0 < self.gamma_c < np.inf
                 and 0 <= self.beta < np.inf):
             raise ValueError("adaptation and normalization gains must be "
                              "positive, forgetting factor nonnegative, "
                              "all finite")
-        if not 0 < self.u_bar < np.inf:
-            raise ValueError("saturation level must be positive and finite")
-        d = np.diag(self.R_u)
-        if not np.all((0 < d) & (d < np.inf)) or np.any(self.R_u != np.diag(d)):
+        R_u = np.atleast_2d(np.asarray(self.R_u, float))
+        d = np.diag(R_u)
+        if not np.all((0 < d) & (d < np.inf)) or np.any(R_u != np.diag(d)):
             raise ValueError("R_u must be diagonal with positive finite entries")
-        if not (np.isfinite(self.Q).all() and np.linalg.eigvalsh(
-                self.Q + self.Q.T)[0] >= -1e-12 * np.abs(self.Q).max()):
+        Q = np.atleast_2d(np.asarray(self.Q, float))
+        if not (np.isfinite(Q).all() and np.linalg.eigvalsh(
+                Q + Q.T)[0] >= -1e-12 * np.abs(Q).max()):
             raise ValueError("Q must be finite and positive semidefinite")
         if not 0 < self.margin_floor < np.inf:
             raise ValueError("margin_floor must be positive and finite")
         if self.point_envelope not in ("live", "zero"):
             raise ValueError("point_envelope must be 'live' or 'zero'")
-        if len(self.points) < 1:
-            raise ValueError("need at least one extrapolation point")
-        object.__setattr__(self, "R_u_inv", np.linalg.inv(self.R_u))
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +153,10 @@ def _log_cosh(d):
     return a + np.log1p(np.exp(-2.0 * a)) - _LOG_2
 
 
-def _saturation_penalty_preact(config: LearningConfig, preact,
+def _saturation_penalty_preact(u_bar: float, r, preact,
                                tanh_preact=None) -> np.ndarray:
-    """Penalty evaluated at u = -u_bar*tanh(preact); stable for large preact.
+    """Penalty evaluated at u = -u_bar*tanh(preact), with r the diagonal of
+    R_u; stable for large preact.
 
     Uses atanh(u/u_bar) = -preact and ln(1 - tanh^2) = -2 ln cosh, so the
     closed form never touches the atanh singularity when tanh saturates.
@@ -119,7 +165,7 @@ def _saturation_penalty_preact(config: LearningConfig, preact,
     d = np.asarray(preact, float)
     t = np.tanh(d) if tanh_preact is None else tanh_preact
     term = d * t - _log_cosh(d)
-    return 2.0 * config.u_bar ** 2 * (config.R_u.diagonal() * term).sum(axis=-1)
+    return 2.0 * u_bar ** 2 * (r * term).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +195,7 @@ class CriticEvaluator:
     that depend on the envelope component are refreshed when it moves: grad
     phi, the robust barrier, and the last component of F, which is affine in
     the envelope.  alpha, the envelope decay rate, enters F only; a policy-only
-    evaluator may leave it None.
+    evaluator may leave it None.  The saturation level is model.u_bar.
     """
 
     def __init__(self, model: SystemModel, basis: Basis,
@@ -159,6 +205,10 @@ class CriticEvaluator:
             raise ValueError(f"unknown controller mode {mode!r}")
         self.model, self.basis, self.spec, self.mode = model, basis, spec, mode
         self.config, self.alpha = config, alpha
+        R_u = np.atleast_2d(np.asarray(config.R_u, float))
+        self._R_u_inv, self._r = np.linalg.inv(R_u), R_u.diagonal()
+        self._Q = np.atleast_2d(np.asarray(config.Q, float))
+        self.points = config.points.build()     # (N, n)
         self._env = None            # envelope component of the cached points
         self._points = None         # (gp, Bval, gB, G, F, qcost)
 
@@ -168,17 +218,18 @@ class CriticEvaluator:
         grad(V_hat) (F + G u_hat) + x'Qx + saturation penalty + barrier cost,
         with u_hat = -u_bar tanh((R^-1 G' / 2u_bar)(grad_phi' W + grad_B')).
         """
-        cfg = self.config
+        u_bar = self.model.u_bar
         vgrad = np.einsum("...li,l->...i", gp, np.asarray(weights, float)) + gB
-        pre = (np.einsum("...i,...im->...m", vgrad, G) @ cfg.R_u_inv.T
-               / (2.0 * cfg.u_bar))
+        pre = (np.einsum("...i,...im->...m", vgrad, G) @ self._R_u_inv.T
+               / (2.0 * u_bar))
         tanh_pre = np.tanh(pre)
-        u = -cfg.u_bar * tanh_pre
+        u = -u_bar * tanh_pre
         if F is None:
             return u, None, None
         flow = F + np.einsum("...im,...m->...i", G, u)
         delta = (np.einsum("...i,...i->...", vgrad, flow) + qcost
-                 + _saturation_penalty_preact(cfg, pre, tanh_pre) + Bval)
+                 + _saturation_penalty_preact(u_bar, self._r, pre, tanh_pre)
+                 + Bval)
         return u, flow, delta
 
     def at(self, zeta, weights, with_delta: bool = False,
@@ -199,7 +250,7 @@ class CriticEvaluator:
         if with_delta:
             F = augmented_drift(self.model, zeta, self.alpha)
             x = zeta[..., :-1]
-            qcost = np.einsum("...i,ij,...j->...", x, self.config.Q, x)
+            qcost = np.einsum("...i,ij,...j->...", x, self._Q, x)
         u, _, delta = self._chain(gp, Bval, gB, G, weights, F, qcost)
         return (u, delta, G, F) if plant else (u, delta)
 
@@ -208,7 +259,7 @@ class CriticEvaluator:
         env = envelope_now if cfg.point_envelope == "live" else 0.0
         if self._points is not None and env == self._env:
             return self._points
-        pts = cfg.points
+        pts = self.points
         zk = np.concatenate([pts, np.full((len(pts), 1), env)], axis=1)
         gp = np.asarray(self.basis.grad_phi(zk), float)
         if self._points is None:
@@ -216,7 +267,7 @@ class CriticEvaluator:
                                       floor=cfg.margin_floor)
             G = augmented_effectiveness(self.model, zk)
             F = augmented_drift(self.model, zk, self.alpha)
-            qcost = np.einsum("ni,ij,nj->n", pts, cfg.Q, pts)
+            qcost = np.einsum("ni,ij,nj->n", pts, self._Q, pts)
         else:
             _, Bval, gB, G, F, qcost = self._points
             if self.mode == "rlcbf":

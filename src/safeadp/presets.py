@@ -8,8 +8,9 @@ study only in the controller mode.
 
 from __future__ import annotations
 
-from .config import (GainsConfig, LearningSettings, ModelConfig,
-                     ObserverConfig, PointsConfig, RunConfig, SafetyConfig)
+from .config import (GainsConfig, ModelConfig, ObserverConfig, RunConfig,
+                     SafetyConfig)
+from .critic import LearningConfig, PointsConfig
 from .sim import SimConfig
 
 # Lyapunov matrices and injection gains for the two studies.  The correction
@@ -39,7 +40,7 @@ def _benchmark_plant(box: float, observer: ObserverConfig,
     return RunConfig(
         model=ModelConfig(name="vamvoudakis2d", u_bar=u_bar, box_halfwidth=box),
         observer=observer, safety=safety,
-        learning=LearningSettings(
+        learning=LearningConfig(
             k_c=5.0, gamma_c=1.0, beta=0.01,
             R_u=((1.0,),), Q=((1.0, 0.0), (0.0, 1.0)),
             points=points, point_envelope=point_envelope),

@@ -48,6 +48,9 @@ class SimConfig:
         if (self.Gamma0 != "identity" if isinstance(self.Gamma0, str)
                 else not np.isfinite(np.asarray(self.Gamma0, float)).all()):
             raise ValueError("Gamma0 must be 'identity' or a finite matrix")
+        for name in ("x0", "x_hat0", "Wc0"):
+            if not np.isfinite(np.asarray(getattr(self, name), float)).all():
+                raise ValueError(f"{name} must be finite")
         # written so that NaN fails them
         if not 0 < self.dt < float("inf"):
             raise ValueError("dt must be positive and finite")
@@ -59,8 +62,9 @@ class SimConfig:
             raise ValueError(f"unknown controller mode {self.controller_mode!r}")
         if self.monitor_action not in ("warn", "abort"):
             raise ValueError("monitor_action must be 'warn' or 'abort'")
-        if self.log_every < 1:
-            raise ValueError("log_every must be >= 1")
+        if not (isinstance(self.log_every, (int, np.integer))
+                and self.log_every >= 1):
+            raise ValueError("log_every must be an integer >= 1")
         # +-inf never or always warns
         if not -np.inf <= self.excitation_warn <= np.inf:
             raise ValueError("excitation_warn must not be NaN")
@@ -184,8 +188,8 @@ def _floor_gain(G: np.ndarray):
     return G, asym, ev
 
 
-def _make_rhs(problem: ControlProblem):
-    """Coupled right-hand side.
+def _make_rhs(problem: ControlProblem, critic: CriticEvaluator):
+    """Coupled right-hand side, with critic the problem's evaluator.
 
     rhs(tau, x, x_hat, W, G, with_delta) returns the four derivatives and
     (u, delta, S, envelope): the stage control, the Bellman error at the
@@ -194,8 +198,6 @@ def _make_rhs(problem: ControlProblem):
     """
     model, gains, learn = problem.model, problem.gains, problem.learn
     observer_enabled = problem.observer_enabled
-    critic = CriticEvaluator(model, problem.basis, problem.spec,
-                             problem.sim.controller_mode, learn, gains.alpha)
 
     def rhs(tau, x, xh, W, G, with_delta=False):
         env = error_envelope(gains, tau)
@@ -320,13 +322,15 @@ def run(problem: ControlProblem) -> tuple[TrajectoryLog, RunSummary]:
     G, _, gev = _floor_gain(gamma0)
     asym_last = 0.0
     abort_reason = None
-    rhs = _make_rhs(problem)
+    critic = CriticEvaluator(model, basis, spec, cfg.controller_mode,
+                             problem.learn, gains.alpha)
+    rhs = _make_rhs(problem, critic)
 
     try:
         for k in range(steps + 1):
             t = k * cfg.dt
             k1, (u, delta, S, env) = _stage(rhs, k, t, 1, t, x, xh, W, G, True)
-            excite = excitation_level(S, len(problem.learn.points))
+            excite = excitation_level(S, len(critic.points))
             err = float(np.linalg.norm(x - xh))
             hx = float(spec.h(x)) if spec is not None else float("nan")
             hr = (float(spec.h(xh)) - spec.ell * env) if spec is not None else float("nan")

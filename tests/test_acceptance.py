@@ -9,8 +9,7 @@ from scipy.integrate import quad
 
 import safeadp as sa
 from safeadp.cli import main
-from safeadp.critic import (LearningConfig, _saturation_penalty_preact,
-                            quadratic_basis_2d)
+from safeadp.critic import _saturation_penalty_preact, quadratic_basis_2d
 from safeadp.lmi import LmiProblem, assemble_lmi_matrix, verify_gains
 from safeadp.safety import (barrier_value_and_gradient, circular_obstacle,
                             parabola_interior)
@@ -104,11 +103,9 @@ def test_a5_saturation_penalty_matches_quadrature():
         u_bar = float(rng.uniform(0.5, 20.0))
         r = rng.uniform(0.1, 5.0, m)
         u = rng.uniform(-0.98 * u_bar, 0.98 * u_bar, m)
-        cfg = LearningConfig(k_c=1.0, gamma_c=1.0, beta=0.01, u_bar=u_bar,
-                             R_u=np.diag(r), Q=np.eye(2),
-                             points=np.zeros((1, 2)))
         # the penalty as the loop evaluates it, at u = -u_bar tanh(d)
-        closed = float(_saturation_penalty_preact(cfg, -np.arctanh(u / u_bar)))
+        closed = float(_saturation_penalty_preact(u_bar, r,
+                                                  -np.arctanh(u / u_bar)))
         oracle = 0.0
         for uk, rk in zip(u, r):
             val, _ = quad(lambda v: u_bar * np.arctanh(v / u_bar) * rk,

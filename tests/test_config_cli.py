@@ -1,14 +1,16 @@
 import dataclasses
 import json
 import re
+import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from safeadp.cli import main
-from safeadp.config import (ConfigError, RunConfig, build_problem, grid_points,
-                            load_config)
+from safeadp.config import ConfigError, RunConfig, build_problem, load_config
+from safeadp.critic import grid_points
 from safeadp.model import MODEL_REGISTRY, vamvoudakis2d
 from safeadp.presets import PRESET_NAMES, preset
 
@@ -521,6 +523,10 @@ INVALID_VALUES = [
     ("run", ("learning", "margin_floor", 0.0), HORIZON),
     ("verify-lmi", ("learning", "margin_floor", -1.0), []),
     ("verify-lmi", ("learning", "Q", [[1.0, 0.0], [0.0, -1.0]]), []),
+    # the obstacle center has n entries whether or not the safe set uses it,
+    # and the log stride is an integer
+    ("run", ("safety", "center", [-0.5, 0.6, 0.0]), []),
+    ("run", ("sim", "log_every", 1.5), []),
 ]
 
 
@@ -639,6 +645,14 @@ NONFINITE_VALUES = [
      "learning.points.repel_center-nan"),
     ("learning.points", "repel_radius", NAN,
      "learning.points.repel_radius-nan"),
+    # explicit observer gains, the initial state, estimate and weights are
+    # finite, and the log stride is an integer
+    ("observer.gains", "l1", (NAN, 0.14719), "observer.gains.l1-nan"),
+    ("observer.gains", "l3", (INF, 9.0), "observer.gains.l3-inf"),
+    ("sim", "x0", (NAN, 1.5), "sim.x0-nan"),
+    ("sim", "x_hat0", (-1.5, INF), "sim.x_hat0-inf"),
+    ("sim", "Wc0", (NAN, 1.0, 0.8, 0.1, 0.1, 0.1), "sim.Wc0-nan"),
+    ("sim", "log_every", NAN, "sim.log_every-nan"),
 ]
 
 
@@ -651,15 +665,27 @@ def test_nonfinite_value_is_a_config_error(section, key, value):
         build_problem(RunConfig.from_dict(raw))
 
 
-@pytest.mark.parametrize("key, value", [("margin_floor", "BIG"),
-                                        ("R_u", [["BIG"]]),
-                                        ("gamma_c", "BIG")],
-                         ids=["margin_floor", "R_u", "gamma_c"])
-def test_cli_overflowing_number_is_a_config_error(tmp_path, capsys, key,
+OVERFLOWING = [
+    ("learning", "margin_floor", "BIG", "margin_floor"),
+    ("learning", "R_u", [["BIG"]], "R_u"),
+    ("learning", "gamma_c", "BIG", "gamma_c"),
+    ("observer.gains", "P", [["BIG", 0.15875], [0.15875, 0.40954]],
+     "observer.gains.P"),
+    ("observer.gains", "l3", ["BIG", 9.0], "observer.gains.l3"),
+    ("sim", "x0", ["BIG", 1.5], "sim.x0"),
+    ("sim", "x_hat0", [-1.5, "BIG"], "sim.x_hat0"),
+    ("sim", "Wc0", ["BIG", 1.0, 0.8, 0.1, 0.1, 0.1], "sim.Wc0"),
+    ("sim", "log_every", "BIG", "sim.log_every"),
+]
+
+
+@pytest.mark.parametrize("path, key, value", [r[:3] for r in OVERFLOWING],
+                         ids=[r[3] for r in OVERFLOWING])
+def test_cli_overflowing_number_is_a_config_error(tmp_path, capsys, path, key,
                                                   value):
     # json reads 1e400 as inf without calling parse_constant
     raw = preset("study1").to_dict()
-    raw["learning"][key] = value
+    _object(raw, path)[key] = value
     cfg_file = tmp_path / "big.json"
     cfg_file.write_text(json.dumps(raw).replace('"BIG"', "1e400"))
     out = tmp_path / "out"
@@ -683,3 +709,101 @@ def test_nan_decay_rate_stops_gain_synthesis():
     raw["observer"].update(alpha=float("nan"), gains="synthesize")
     with pytest.raises(ConfigError, match="observer: decay rate"):
         build_problem(RunConfig.from_dict(raw))
+
+
+# ---------------------------------------------------------------- fuzz
+
+# the numbers README lets be infinite; every other one must be finite
+MAY_BE_INFINITE = {("sim", "excitation_warn"), ("sim", "ultimate_bound_x"),
+                   ("sim", "ultimate_bound_err")}
+# what the fuzz puts into one number: text spliced into the config file in
+# its place (json reads 1e400 as inf), or NaN, which a file cannot spell,
+# handed to RunConfig.from_dict
+FUZZ_VALUES = ("1e400", "-1e400", "nan", "0", "-1")
+FUZZED = "__fuzzed__"
+# a few steps: the checks under test act before the first step or at it
+FUZZ_HORIZON = 0.003
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numeric_leaves(obj, path=()):
+    """(path, is_vector) of every number in obj and of every list of
+    numbers: a vector or a matrix row."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _numeric_leaves(value, (*path, key))
+    elif isinstance(obj, list):
+        if obj and all(map(_is_number, obj)):
+            yield path, True
+        for i, value in enumerate(obj):
+            yield from _numeric_leaves(value, (*path, i))
+    elif _is_number(obj):
+        yield path, False
+
+
+def _fuzz_cases(name):
+    """(path, value, raw config) for each FUZZ_VALUES entry put into each
+    number of the preset, and for one extra entry on each of its vectors."""
+    base = json.loads(json.dumps(preset(name).to_dict()))
+    base["sim"]["T"] = FUZZ_HORIZON
+    for path, is_vector in _numeric_leaves(base):
+        for value in ["extra entry"] if is_vector else FUZZ_VALUES:
+            raw = json.loads(json.dumps(base))
+            parent = raw
+            for step in path[:-1]:
+                parent = parent[step]
+            key = path[-1]
+            if is_vector:
+                parent[key].append(parent[key][-1])
+            else:
+                parent[key] = NAN if value == "nan" else FUZZED
+            yield path, value, raw
+
+
+def _fuzz_verdict(tmp_path, capsys, raw, value, must_reject):
+    """None if `safeadp run` on raw ends as allowed, else what went wrong."""
+    cfg_file, out = tmp_path / "fuzz.json", tmp_path / "out"
+    cfg_file.write_text(json.dumps(raw).replace(f'"{FUZZED}"', value))
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if value == "nan":
+            mp.setattr("safeadp.cli.load_config",
+                       lambda path: RunConfig.from_dict(raw))
+        try:
+            code = main(["run", "--config", str(cfg_file), "--out", str(out)])
+        except Exception as exc:
+            return f"{type(exc).__name__}: {exc}"
+        finally:
+            captured = capsys.readouterr()
+    wrote = out.exists()
+    shutil.rmtree(out, ignore_errors=True)
+    lines = (captured.err if code == 2 else captured.out).strip().splitlines()
+    report = json.loads(lines[-1]) if code and lines else {}
+    if must_reject and code != 2:
+        return f"exit {code} on a number that must be finite"
+    if code == 2:
+        ok = report.get("error") == "config_error" and not wrote
+    elif code == 1 and report.get("error") == "run_error":
+        ok = (report["reason"].startswith("initial estimate error")
+              and not wrote)
+    elif code == 1:
+        ok = report.get("error") == "run_aborted" and bool(report["reason"])
+    else:
+        ok = code == 0
+    return None if ok else f"exit {code}: {lines[-1:]}"
+
+
+@pytest.mark.parametrize("name", ["study1", "study2", "lq_oracle"])
+def test_fuzzed_number_ends_in_a_run_or_a_config_error(tmp_path, capsys,
+                                                       name):
+    failures = []
+    for path, value, raw in _fuzz_cases(name):
+        must_reject = (value in ("1e400", "-1e400", "nan")
+                       and path[:2] not in MAY_BE_INFINITE)
+        verdict = _fuzz_verdict(tmp_path, capsys, raw, value, must_reject)
+        if verdict is not None:
+            failures.append(f"{'.'.join(map(str, path))} = {value}: {verdict}")
+    assert not failures, "\n".join(failures)

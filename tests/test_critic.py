@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import safeadp as sa
-from safeadp.critic import (LearningConfig, bellman_error,
-                            critic_derivatives, excitation_level,
-                            extrapolation_terms, quadratic_basis_2d,
-                            saturated_policy, _saturation_penalty_preact)
+from safeadp.critic import (CriticEvaluator, LearningConfig, PointsConfig,
+                            bellman_error, critic_derivatives,
+                            excitation_level, extrapolation_terms,
+                            quadratic_basis_2d, saturated_policy,
+                            _saturation_penalty_preact)
 from safeadp.safety import (BarrierDomainError, barrier_value_and_gradient,
                             parabola_interior)
 
@@ -20,11 +21,13 @@ OFF = "none"
 SPEC1 = parabola_interior(kappa=0.01, ell=0.1)
 
 
-def _learn(u_bar=10.0, gamma_c=1.0, points=((0.1, 0.2),), envelope="zero",
-           R_u=1.0, beta=0.01):
-    return LearningConfig(k_c=5.0, gamma_c=gamma_c, beta=beta, u_bar=u_bar,
+def _learn(gamma_c=1.0, points=((0.1, 0.2),), envelope="zero", R_u=1.0,
+           beta=0.01):
+    return LearningConfig(k_c=5.0, gamma_c=gamma_c, beta=beta,
                           R_u=np.array([[R_u]]), Q=np.eye(2),
-                          points=np.array(points), point_envelope=envelope)
+                          points=PointsConfig(kind="explicit",
+                                              values=np.array(points)),
+                          point_envelope=envelope)
 
 
 def _quad_oracle(u, u_bar, r):
@@ -55,20 +58,26 @@ def test_basis_jacobian_matches_finite_differences(rng):
             assert np.all(np.abs(jac[:, i] - fd) / scale <= 1e-6)
 
 
-def test_learning_config_derives_the_inverse_control_weight():
+def test_learning_config_is_the_learning_section(study_model):
+    # the eight keys of the section and nothing derived; the evaluator
+    # derives the inverse control weight and reads u_bar off the plant
+    assert [f.name for f in dataclasses.fields(LearningConfig)] == [
+        "k_c", "gamma_c", "beta", "R_u", "Q", "points", "point_envelope",
+        "margin_floor"]
     learn = _learn(R_u=2.0)
-    assert np.array_equal(learn.R_u_inv, [[0.5]])
     with pytest.raises(TypeError):
-        LearningConfig(k_c=5.0, gamma_c=1.0, beta=0.01, u_bar=10.0,
-                       R_u=np.eye(1), Q=np.eye(2), points=np.zeros((1, 2)),
-                       R_u_inv=np.eye(1))
+        LearningConfig(**{**vars(learn), "u_bar": 10.0})
+    ev = CriticEvaluator(study_model, BASIS, None, OFF, learn)
+    assert np.array_equal(ev._R_u_inv, [[0.5]])
     again = dataclasses.replace(learn, R_u=np.array([[4.0]]))
-    assert np.array_equal(again.R_u_inv, [[0.25]])
+    ev = CriticEvaluator(study_model, BASIS, None, OFF, again)
+    assert np.array_equal(ev._R_u_inv, [[0.25]])
+    assert np.array_equal(ev.points, [[0.1, 0.2]])
 
 
 # ---------------------------------------------------------------- penalty
 
-def saturation_penalty(config: LearningConfig, u) -> float:
+def saturation_penalty(ub: float, r, u) -> float:
     """Reference u-space form of the running-cost penalty whose minimizing
     feedback respects |u_k| < u_bar.
 
@@ -79,54 +88,49 @@ def saturation_penalty(config: LearningConfig, u) -> float:
     The loop evaluates the penalty through _saturation_penalty_preact.
     """
     u = np.atleast_1d(np.asarray(u, float))
-    ub = config.u_bar
     if np.any(np.abs(u) >= ub):
         raise ValueError(f"saturation penalty undefined at |u| >= {ub}")
-    r = np.diag(config.R_u)
     ratio = u / ub
     term = u * np.arctanh(ratio) + (ub / 2.0) * np.log1p(-ratio * ratio)
     return float(2.0 * ub * np.sum(r * term))
 
 
 def test_penalty_zero_at_zero():
-    assert saturation_penalty(_learn(), np.zeros(1)) == 0.0
+    assert saturation_penalty(10.0, [1.0], np.zeros(1)) == 0.0
 
 
 @given(st.floats(-9.5, 9.5))
 @settings(max_examples=100, deadline=None)
 def test_penalty_even(u):
-    cfg = _learn()
-    assert saturation_penalty(cfg, [u]) == pytest.approx(
-        saturation_penalty(cfg, [-u]), rel=1e-12, abs=1e-15)
+    assert saturation_penalty(10.0, [1.0], [u]) == pytest.approx(
+        saturation_penalty(10.0, [1.0], [-u]), rel=1e-12, abs=1e-15)
 
 
 def test_penalty_matches_quadrature():
-    cfg = _learn(u_bar=10.0)
-    assert saturation_penalty(cfg, [5.0]) == pytest.approx(
+    assert saturation_penalty(10.0, [1.0], [5.0]) == pytest.approx(
         _quad_oracle([5.0], 10.0, [1.0]), abs=1e-8)
 
 
 def test_penalty_domain_error():
-    cfg = _learn(u_bar=10.0)
     with pytest.raises(ValueError):
-        saturation_penalty(cfg, [10.0])
+        saturation_penalty(10.0, [1.0], [10.0])
     with pytest.raises(ValueError):
-        saturation_penalty(cfg, [-11.0])
+        saturation_penalty(10.0, [1.0], [-11.0])
 
 
 def test_penalty_preactivation_form_consistent(rng):
-    cfg = _learn(u_bar=7.0, R_u=2.5)
+    r = np.array([2.5])
     for _ in range(50):
         d = rng.uniform(-3, 3, 1)
         u = -7.0 * np.tanh(d)
-        direct = saturation_penalty(cfg, u)
-        via_pre = float(_saturation_penalty_preact(cfg, d))
+        direct = saturation_penalty(7.0, r, u)
+        via_pre = float(_saturation_penalty_preact(7.0, r, d))
         assert via_pre == pytest.approx(direct, rel=1e-10, abs=1e-12)
     # the penalty saturates at 2 r u_bar^2 ln 2 as the control approaches
     # the box edge; the preactivation form must hit that limit without
     # overflowing
     limit = 2.0 * 2.5 * 7.0 ** 2 * np.log(2.0)
-    big = float(_saturation_penalty_preact(cfg, np.array([40.0])))
+    big = float(_saturation_penalty_preact(7.0, r, np.array([40.0])))
     assert np.isfinite(big)
     assert big == pytest.approx(limit, rel=1e-10)
 
@@ -162,7 +166,7 @@ def test_policy_unconstrained_limit():
     # loose saturation, solution weights, no barrier: at x = (0, 1) the
     # feedback is -(cos 0 + 2) * dV/dx2 / 2 = -3
     model = sa.vamvoudakis2d(u_bar=100.0)
-    cfg = _learn(u_bar=100.0)
+    cfg = _learn()
     w = np.array([0.5, 0.0, 1.0, 0.0, 0.0, 0.0])
     u = saturated_policy(model, BASIS, None, OFF, cfg, [0.0, 1.0, 0.0], w)
     assert float(u[0]) == pytest.approx(-100.0 * np.tanh(0.03), rel=1e-12)
@@ -224,7 +228,7 @@ def test_bellman_error_near_zero_at_solution_weights():
     unit square (max |u*| just under 3) and the pointwise residual must match
     the analytic expression."""
     model = sa.vamvoudakis2d(u_bar=100.0)
-    cfg = _learn(u_bar=100.0)
+    cfg = _learn()
     w = np.array([0.5, 0.0, 1.0, 0.0, 0.0, 0.0])
     axis = np.linspace(-1, 1, 11)
     worst = 0.0
@@ -326,9 +330,10 @@ def test_gain_update_contracts_without_forgetting(rng):
 
 
 def test_single_term_hand_value():
-    cfg = LearningConfig(k_c=5.0, gamma_c=1.0, beta=0.01, u_bar=10.0,
+    cfg = LearningConfig(k_c=5.0, gamma_c=1.0, beta=0.01,
                          R_u=np.array([[1.0]]), Q=np.eye(2),
-                         points=np.array([[0.1, 0.1]]))
+                         points=PointsConfig(kind="explicit",
+                                             values=((0.1, 0.1),)))
     omega = np.array([[2.0]])
     rho = np.array([3.0])
     delta = np.array([1.5])

@@ -9,13 +9,15 @@ and the sequence of envelope values it is called with.
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import safeadp as sa
-from safeadp.critic import CriticEvaluator, LearningConfig, quadratic_basis_2d
+from safeadp.critic import (CriticEvaluator, LearningConfig, PointsConfig,
+                            quadratic_basis_2d)
 from safeadp.safety import (BarrierDomainError, circular_obstacle,
                             parabola_interior)
 
@@ -100,6 +102,17 @@ def _ref_barrier_terms(spec, mode, zeta, floor=None):
     return np.asarray(val, float), grad
 
 
+def _ref_config(cfg, model):
+    """cfg as the frozen chain read it: with its arrays built, the inverse
+    control weight and the plant's saturation level."""
+    R_u = np.atleast_2d(np.asarray(cfg.R_u, float))
+    return SimpleNamespace(**{**vars(cfg), "R_u": R_u,
+                              "R_u_inv": np.linalg.inv(R_u),
+                              "Q": np.atleast_2d(np.asarray(cfg.Q, float)),
+                              "points": cfg.points.build(),
+                              "u_bar": model.u_bar})
+
+
 def _ref_bellman(model, spec, mode, cfg, zeta, weights, alpha):
     """(u, delta) at one augmented state, as the unfused chain computed them."""
     gp = _ref_grad_phi(zeta)
@@ -167,15 +180,17 @@ envelope = st.floats(0.0, 2.0, allow_nan=False)
 def test_evaluator_matches_frozen_chain(mode, point_envelope, spec_name,
                                         points, calls):
     spec = SPECS[spec_name]
-    cfg = LearningConfig(k_c=5.0, gamma_c=1.0, beta=0.01, u_bar=10.0,
+    cfg = LearningConfig(k_c=5.0, gamma_c=1.0, beta=0.01,
                          R_u=np.array([[1.0]]), Q=np.eye(2),
-                         points=np.array(points), point_envelope=point_envelope)
+                         points=PointsConfig(kind="explicit", values=points),
+                         point_envelope=point_envelope)
     ev = CriticEvaluator(MODEL, quadratic_basis_2d(), spec, mode, cfg, ALPHA)
+    ref = _ref_config(cfg, MODEL)
     # revisit the first envelope value last: a stale cache would show there
     for env, x1, x2, W in [*calls, calls[0]]:
         zeta = np.array([x1, x2, env])
         try:
-            u_ref, delta_ref = _ref_bellman(REF_MODEL, spec, mode, cfg, zeta,
+            u_ref, delta_ref = _ref_bellman(REF_MODEL, spec, mode, ref, zeta,
                                             W, ALPHA)
         except BarrierDomainError:
             try:
@@ -191,15 +206,16 @@ def test_evaluator_matches_frozen_chain(mode, point_envelope, spec_name,
             assert _same(u, u_ref) and _same(u_policy, u_ref)
             assert float(delta).hex() == delta_ref.hex()
         got = ev.extrapolate(env, W)
-        want = _ref_extrapolation(REF_MODEL, spec, mode, cfg, env, W, ALPHA)
+        want = _ref_extrapolation(REF_MODEL, spec, mode, ref, env, W, ALPHA)
         for name, g, w in zip(("omega", "rho", "delta"), got, want):
             assert _same(g, w), f"{name} differs at envelope {env!r}"
 
 
 def test_live_envelope_refreshes_cached_points():
-    cfg = LearningConfig(k_c=5.0, gamma_c=1.0, beta=0.01, u_bar=10.0,
+    cfg = LearningConfig(k_c=5.0, gamma_c=1.0, beta=0.01,
                          R_u=np.array([[1.0]]), Q=np.eye(2),
-                         points=np.array([[0.2, 0.1], [-0.3, 0.4]]),
+                         points=PointsConfig(kind="explicit",
+                                             values=((0.2, 0.1), (-0.3, 0.4))),
                          point_envelope="live")
     ev = CriticEvaluator(MODEL, quadratic_basis_2d(), SPECS["parabola"],
                          "rlcbf", cfg, ALPHA)

@@ -8,7 +8,8 @@ import pytest
 
 import safeadp as sa
 from safeadp import sim
-from safeadp.critic import LearningConfig, quadratic_basis_2d
+from safeadp.critic import (CriticEvaluator, LearningConfig, PointsConfig,
+                            quadratic_basis_2d)
 from safeadp.observer import ObserverGains, observer_rhs
 from safeadp.safety import parabola_interior
 from safeadp.sim import (ControlProblem, SimConfig, _floor_gain, _make_rhs,
@@ -26,9 +27,9 @@ def _problem(x0=(0.1, 0.1), x_hat0=None, eps0=2.5, mode="none", spec=None,
                           l1=np.array([0.14719, 0.14719]),
                           l2=np.array([0.045396, 0.045396]),
                           l3=np.array(l3), alpha=2.0, eps0=eps0)
-    learn = LearningConfig(k_c=5.0, gamma_c=1.0, beta=0.01, u_bar=u_bar,
+    learn = LearningConfig(k_c=5.0, gamma_c=1.0, beta=0.01,
                            R_u=np.array([[1.0]]), Q=np.eye(2),
-                           points=np.array(points),
+                           points=PointsConfig(kind="explicit", values=points),
                            point_envelope=point_envelope)
     sim_cfg = SimConfig(dt=dt, T=T, x0=x0,
                         x_hat0=x_hat0 if x_hat0 is not None else x0,
@@ -43,7 +44,8 @@ def test_fixed_point_step():
     # derivative vanishes except the forgetting-factor growth of the gain
     prob = _problem(x0=(0.0, 0.0), eps0=1e-12, points=((0.0, 0.0),))
     W0 = np.array([0.5, 1.0, 0.8, 0.1, 0.1, 0.1])
-    x, xh, W, G, _, _ = _rk4_step(_make_rhs(prob), prob.sim.dt, 0.0,
+    critic = CriticEvaluator(prob.model, BASIS, None, "none", prob.learn, 2.0)
+    x, xh, W, G, _, _ = _rk4_step(_make_rhs(prob, critic), prob.sim.dt, 0.0,
                                   np.zeros(2), np.zeros(2), W0.copy(),
                                   np.eye(6))
     assert np.allclose(x, 0.0, atol=1e-12)
@@ -126,6 +128,17 @@ def test_safety_event_recorded_in_none_mode():
     assert summary.ok
     assert any(e["monitor"] == "safety_h" for e in summary.monitor_events)
     assert summary.min_h < 0
+
+
+def test_one_saturation_level_bounds_the_policy_and_the_monitor():
+    # model.u_bar is the only saturation level: the policy stays within it
+    # and the saturation monitor measures against it
+    raw = sa.preset("study2").to_dict()
+    raw["model"]["u_bar"] = 0.5
+    raw["sim"]["T"] = 1.0
+    log, summary = run(sa.build_problem(sa.RunConfig.from_dict(raw))[0])
+    assert np.max(np.abs(log.u)) <= 0.5
+    assert "saturation" in [e["monitor"] for e in summary.monitor_events]
 
 
 def test_gain_floor_utility():
@@ -265,8 +278,8 @@ def test_pool_member_margin_abort_reason():
 def test_nonfinite_gain_derivative_aborts_as_divergence(monkeypatch):
     make_rhs = sim._make_rhs
 
-    def nan_gain_rhs(problem):
-        rhs = make_rhs(problem)
+    def nan_gain_rhs(problem, critic):
+        rhs = make_rhs(problem, critic)
 
         def wrapped(tau, x, xh, W, G, with_delta=False):
             # the critic sees a finite gain, so only the gain derivative and
