@@ -59,8 +59,8 @@ def test_basis_jacobian_matches_finite_differences(rng):
 
 
 def test_learning_config_is_the_learning_section(study_model):
-    # the eight keys of the section and nothing derived; the evaluator
-    # derives the inverse control weight and reads u_bar off the plant
+    # the eight keys of the section and nothing derived, u_bar included;
+    # the evaluator derives the inverse control weight and the points
     assert [f.name for f in dataclasses.fields(LearningConfig)] == [
         "k_c", "gamma_c", "beta", "R_u", "Q", "points", "point_envelope",
         "margin_floor"]
