@@ -5,7 +5,8 @@
 certificate, a run without an observer, a run without a barrier that leaves
 the safe set (so the summary's violation times are not null), `verify-lmi`,
 a run that aborts at step 0, whose CSV files hold only their header rows,
-and a seeded `synthesize` in each mode.  The JSON dump of every
+a seeded `synthesize` in each mode, and the Jacobian-bound audit of
+study2.  The JSON dump of every
 preset (`safeadp presets --name <p>`) is hashed as well, so the accepted
 config schema and the preset values cannot drift.  Regenerate the stored file
 only in a change that deliberately alters an output, and say so in CHANGES.md:
@@ -56,6 +57,9 @@ CASES = {
     "synthesize_study1_vertices": (1, lambda tmp: [
         "synthesize", "--preset", "study1", "--mode", "all_vertices",
         "--seed", "3", "--budget", "400"]),
+    # the finite-difference Jacobians over the state and control grids
+    "audit_bounds_study2": (0, lambda tmp: [
+        "audit-bounds", "--preset", "study2", "--grid", "21"]),
 }
 
 
