@@ -13,7 +13,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .model import SystemModel, augmented_drift, augmented_effectiveness
+from .model import (DomainSet, SystemModel, augmented_drift,
+                    augmented_effectiveness)
 from .safety import SafetySpec, barrier_value_and_gradient
 
 
@@ -63,9 +64,7 @@ def grid_points(halfwidth: float, per_axis: int, repel_center=None,
     that ring and clamped back into the square, so the point count is
     preserved while no point sits inside the repulsion disk interior.
     """
-    axis = np.linspace(-halfwidth, halfwidth, per_axis)
-    X, Y = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.stack([X.ravel(), Y.ravel()], axis=1)
+    pts = DomainSet(np.zeros(2), np.full(2, halfwidth)).grid(per_axis)
     if repel_center is not None and repel_radius is not None:
         c = np.asarray(repel_center, float)
         d = np.linalg.norm(pts - c, axis=1)
@@ -233,14 +232,13 @@ class CriticEvaluator:
         return u, flow, delta
 
     def at(self, zeta, weights, with_delta: bool = False,
-           floor: float | None = None, plant: bool = False):
-        """(u, delta) at augmented state(s) zeta; delta is None unless asked.
+           floor: float | None = None):
+        """(u, delta, G, F) at augmented state(s) zeta: the policy, the
+        Bellman error, and the augmented effectiveness and drift there.
+        delta and F are None unless delta is asked.
 
         Without `floor`, a nonpositive barrier margin raises
-        BarrierDomainError; with it, margins are clamped.  With `plant`, the
-        augmented effectiveness and drift evaluated at zeta follow (the drift
-        is None unless delta was asked), for a caller that needs the plant at
-        the same state.
+        BarrierDomainError; with it, margins are clamped.
         """
         zeta = np.asarray(zeta, float)
         gp = np.asarray(self.basis.grad_phi(zeta), float)
@@ -252,7 +250,7 @@ class CriticEvaluator:
             x = zeta[..., :-1]
             qcost = np.einsum("...i,ij,...j->...", x, self._Q, x)
         u, _, delta = self._chain(gp, Bval, gB, G, weights, F, qcost)
-        return (u, delta, G, F) if plant else (u, delta)
+        return u, delta, G, F
 
     def _point_terms(self, envelope_now: float):
         cfg = self.config
@@ -304,8 +302,8 @@ def bellman_error(model: SystemModel, basis: Basis, spec: SafetySpec | None,
                   mode: str, config: LearningConfig, zeta, weights,
                   alpha: float, floor: float | None = None) -> float:
     """Residual of the approximate optimality equation at augmented state(s)."""
-    _, out = CriticEvaluator(model, basis, spec, mode, config, alpha).at(
-        zeta, weights, with_delta=True, floor=floor)
+    out = CriticEvaluator(model, basis, spec, mode, config, alpha).at(
+        zeta, weights, with_delta=True, floor=floor)[1]
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -319,8 +317,7 @@ def extrapolation_terms(model: SystemModel, basis: Basis,
                            alpha).extrapolate(envelope_now, weights)
 
 
-def critic_derivatives(omega, rho, delta, weights, gain,
-                       config: LearningConfig):
+def critic_derivatives(omega, rho, delta, gain, config: LearningConfig):
     """Normalized-gradient weight update and forgetting-factor gain update.
 
     weights_dot = -(k_c/N) * gain @ sum_k (omega_k/rho_k) delta_k

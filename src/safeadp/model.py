@@ -18,13 +18,10 @@ class ModelEvaluationError(RuntimeError):
     """Raised when f or g produces a non-finite value."""
 
 
-class SaturationError(ValueError):
-    """Raised when a control input lies outside the saturation box."""
-
-
 @dataclass(frozen=True)
 class DomainSet:
-    """Axis-aligned box ``center +- halfwidths``, the state domain."""
+    """Axis-aligned box ``center +- halfwidths``: the state domain, or any
+    other box a grid is laid over."""
 
     center: np.ndarray
     halfwidths: np.ndarray
@@ -44,6 +41,14 @@ class DomainSet:
         """Nearest point in the box (per-coordinate clamp)."""
         return np.asarray(x, float).clip(self.center - self.halfwidths,
                                          self.center + self.halfwidths)
+
+    def grid(self, num: int) -> np.ndarray:
+        """The num**dim points of the regular grid over the box, one per row,
+        num samples per axis from edge to edge, the last axis fastest."""
+        axes = [np.linspace(c - h, c + h, num)
+                for c, h in zip(self.center, self.halfwidths)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 @dataclass(frozen=True)
@@ -105,13 +110,6 @@ def effectiveness(model: SystemModel, x) -> np.ndarray:
                     "effectiveness")
 
 
-def check_saturation(model: SystemModel, u) -> np.ndarray:
-    u = np.atleast_1d(np.asarray(u, float))
-    if np.any(np.abs(u) > model.u_bar):
-        raise SaturationError(f"control {u} outside saturation box |u|<={model.u_bar}")
-    return u
-
-
 def augmented_drift(model: SystemModel, zeta, alpha: float) -> np.ndarray:
     """Drift of the (x, envelope) augmentation: last component decays at rate alpha."""
     zeta = np.asarray(zeta, float)
@@ -130,11 +128,21 @@ def augmented_effectiveness(model: SystemModel, zeta) -> np.ndarray:
 
 
 def augmented_dynamics(model: SystemModel, zeta, u, alpha: float) -> np.ndarray:
-    """Right-hand side of the augmented system, affine in u."""
-    u = check_saturation(model, u)
+    """Right-hand side of the augmented system, affine in u; ValueError if
+    some |u_i| exceeds u_bar."""
+    u = np.atleast_1d(np.asarray(u, float))
+    if np.any(np.abs(u) > model.u_bar):
+        raise ValueError(f"control {u} outside saturation box |u|<={model.u_bar}")
     F = augmented_drift(model, zeta, alpha)
     G = augmented_effectiveness(model, zeta)
     return F + G @ u
+
+
+def _central_jacobian(fn, pts: np.ndarray, step: float) -> np.ndarray:
+    """Central-difference Jacobians of fn at the rows of pts, (P, n, n)."""
+    cols = [(fn(pts + e) - fn(pts - e)) / (2 * step)
+            for e in step * np.eye(pts.shape[1])]
+    return np.stack(cols, axis=-1)
 
 
 def audit_jacobian_bounds(model: SystemModel, n_grid: int = 21, n_u: int = 5,
@@ -145,33 +153,15 @@ def audit_jacobian_bounds(model: SystemModel, n_grid: int = 21, n_u: int = 5,
     grid over [-u_bar, u_bar]^m, central-differences f and g*u, and reports the
     worst element-wise margin against [Kf1, Kf2] / [Kg1, Kg2].
     """
-    dom = model.domain
-    axes = [np.linspace(c - h, c + h, n_grid)
-            for c, h in zip(dom.center, dom.halfwidths)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-
-    eye = np.eye(model.n)
-    jac_f = np.zeros((len(pts), model.n, model.n))
-    for j in range(model.n):
-        step = fd_step * eye[j]
-        jac_f[:, :, j] = (drift(model, pts + step) - drift(model, pts - step)) / (2 * fd_step)
-    f_lo = jac_f.min(axis=0)
-    f_hi = jac_f.max(axis=0)
-
-    u_axes = [np.linspace(-model.u_bar, model.u_bar, n_u) for _ in range(model.m)]
-    u_mesh = np.meshgrid(*u_axes, indexing="ij")
-    u_vals = np.stack([m.ravel() for m in u_mesh], axis=1)
-    g_lo = np.full((model.n, model.n), np.inf)
-    g_hi = np.full((model.n, model.n), -np.inf)
-    for u in u_vals:
-        for j in range(model.n):
-            step = fd_step * eye[j]
-            gu_p = effectiveness(model, pts + step) @ u
-            gu_m = effectiveness(model, pts - step) @ u
-            col = (gu_p - gu_m) / (2 * fd_step)
-            g_lo[:, j] = np.minimum(g_lo[:, j], col.min(axis=0))
-            g_hi[:, j] = np.maximum(g_hi[:, j], col.max(axis=0))
+    pts = model.domain.grid(n_grid)
+    u_box = DomainSet(np.zeros(model.m), np.full(model.m, model.u_bar))
+    u_vals = u_box.grid(n_u)
+    jac_f = _central_jacobian(lambda p: drift(model, p), pts, fd_step)
+    jac_gu = np.concatenate([
+        _central_jacobian(lambda p: effectiveness(model, p) @ u, pts, fd_step)
+        for u in u_vals])
+    f_lo, f_hi = jac_f.min(axis=0), jac_f.max(axis=0)
+    g_lo, g_hi = jac_gu.min(axis=0), jac_gu.max(axis=0)
 
     f_margin = min(float((f_lo - model.Kf1).min()), float((model.Kf2 - f_hi).min()))
     g_margin = min(float((g_lo - model.Kg1).min()), float((model.Kg2 - g_hi).min()))

@@ -202,7 +202,7 @@ def _make_rhs(problem: ControlProblem, critic: CriticEvaluator):
     def rhs(tau, x, xh, W, G, with_delta=False):
         env = error_envelope(gains, tau)
         u, delta, g_aug, f_aug = critic.at(np.concatenate([xh, [env]]), W,
-                                           with_delta, plant=True)
+                                           with_delta)
         if observer_enabled:
             x_dot = drift(model, x) + effectiveness(model, x) @ u
             y = model.C @ x
@@ -213,7 +213,7 @@ def _make_rhs(problem: ControlProblem, critic: CriticEvaluator):
             f_x = drift(model, x) if f_aug is None else f_aug[:-1]
             x_dot = xh_dot = f_x + g_aug[:-1] @ u
         omega, rho, delta_pts = critic.extrapolate(env, W)
-        w_dot, g_dot, S = critic_derivatives(omega, rho, delta_pts, W, G, learn)
+        w_dot, g_dot, S = critic_derivatives(omega, rho, delta_pts, G, learn)
         return (x_dot, xh_dot, w_dot, g_dot), (u, delta, S, env)
 
     return rhs
@@ -236,12 +236,9 @@ def _stage(rhs, k: int, t: float, stage: int, tau: float, *args):
                      f"{stage}: {type(exc).__name__}: {exc}") from exc
 
 
-def _rk4_step(rhs, dt: float, t: float, x, x_hat, weights, gain, k1=None,
-              k: int = 0):
-    """Step k of the state (x, x_hat, weights, gain) from t; k1 may be given."""
+def _rk4_step(rhs, dt: float, t: float, x, x_hat, weights, gain, k1, k: int):
+    """Step k of (x, x_hat, weights, gain) from t, given the stage-1 slopes."""
     state = (x, x_hat, weights, gain)
-    if k1 is None:
-        k1, _ = _stage(rhs, k, t, 1, t, *state)
     h = dt / 2.0
     k2, _ = _stage(rhs, k, t, 2, t + h, *(s + h * d for s, d in zip(state, k1)))
     k3, _ = _stage(rhs, k, t, 3, t + h, *(s + h * d for s, d in zip(state, k2)))
@@ -351,7 +348,7 @@ def run(problem: ControlProblem) -> tuple[TrajectoryLog, RunSummary]:
                 emit("excitation", t, f"excitation={excite:.3e}")  # warn-only
             if k < steps:
                 x, xh, W, G, asym_last, gev = _rk4_step(rhs, cfg.dt, t, x, xh,
-                                                        W, G, k1=k1, k=k)
+                                                        W, G, k1, k)
     except _Abort as exc:
         abort_reason = str(exc)
     else:

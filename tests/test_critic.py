@@ -314,8 +314,7 @@ def test_zero_errors_freeze_weights(rng):
     cfg = _learn()
     omega = rng.normal(size=(7, 6))
     rho = 1.0 + np.sum(omega ** 2, axis=1)
-    w_dot, _, _ = critic_derivatives(omega, rho, np.zeros(7),
-                                     rng.normal(size=6), np.eye(6), cfg)
+    w_dot, _, _ = critic_derivatives(omega, rho, np.zeros(7), np.eye(6), cfg)
     assert np.allclose(w_dot, 0.0)
 
 
@@ -324,8 +323,8 @@ def test_gain_update_contracts_without_forgetting(rng):
     omega = rng.normal(size=(10, 6))
     rho = 1.0 + np.sum(omega ** 2, axis=1)
     gain = np.eye(6) * 0.8
-    _, g_dot, _ = critic_derivatives(omega, rho, rng.normal(size=10),
-                                     rng.normal(size=6), gain, cfg)
+    _, g_dot, _ = critic_derivatives(omega, rho, rng.normal(size=10), gain,
+                                     cfg)
     assert np.all(np.linalg.eigvalsh(0.5 * (g_dot + g_dot.T)) <= 1e-12)
 
 
@@ -338,8 +337,7 @@ def test_single_term_hand_value():
     rho = np.array([3.0])
     delta = np.array([1.5])
     gain = np.array([[0.5]])
-    w_dot, g_dot, _ = critic_derivatives(omega, rho, delta, np.array([1.0]),
-                                         gain, cfg)
+    w_dot, g_dot, _ = critic_derivatives(omega, rho, delta, gain, cfg)
     assert w_dot[0] == pytest.approx(-5.0 * 0.5 * (2.0 / 3.0) * 1.5)
     assert g_dot[0, 0] == pytest.approx(0.01 * 0.5 - 5.0 * 0.5 * (4.0 / 9.0) * 0.5)
 
@@ -349,8 +347,8 @@ def test_excitation_level_matches_min_eigenvalue(rng):
     rho = 1.0 + np.sum(omega ** 2, axis=1)
     normalized = omega / rho[:, None]
     S = normalized.T @ normalized / 30
-    *_, S_sum = critic_derivatives(omega, rho, np.zeros(30), np.zeros(6),
-                                   np.eye(6), _learn())
+    *_, S_sum = critic_derivatives(omega, rho, np.zeros(30), np.eye(6),
+                                   _learn())
     assert excitation_level(S_sum, 30) == pytest.approx(
         float(np.linalg.eigvalsh(S)[0]), rel=1e-12, abs=1e-15)
 

@@ -200,9 +200,9 @@ def test_evaluator_matches_frozen_chain(mode, point_envelope, spec_name,
             else:
                 raise AssertionError("evaluator accepted a nonpositive margin")
         else:
-            u, delta = ev.at(zeta, W, with_delta=True)
-            u_policy, none = ev.at(zeta, W)
-            assert none is None
+            u, delta, _, _ = ev.at(zeta, W, with_delta=True)
+            u_policy, none, _, no_drift = ev.at(zeta, W)
+            assert none is None and no_drift is None
             assert _same(u, u_ref) and _same(u_policy, u_ref)
             assert float(delta).hex() == delta_ref.hex()
         got = ev.extrapolate(env, W)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import safeadp as sa
-from safeadp.model import (DomainSet, SaturationError, augmented_dynamics,
+from safeadp.model import (DomainSet, augmented_dynamics,
                            audit_jacobian_bounds, drift, effectiveness)
 
 
@@ -64,7 +64,7 @@ def test_augmented_dynamics_affine_in_control(study_model, rng):
 
 
 def test_saturation_violation_rejected(study_model):
-    with pytest.raises(SaturationError):
+    with pytest.raises(ValueError, match="saturation box"):
         augmented_dynamics(study_model, np.zeros(3), [10.5], alpha=2.0)
 
 

@@ -45,9 +45,10 @@ def test_fixed_point_step():
     prob = _problem(x0=(0.0, 0.0), eps0=1e-12, points=((0.0, 0.0),))
     W0 = np.array([0.5, 1.0, 0.8, 0.1, 0.1, 0.1])
     critic = CriticEvaluator(prob.model, BASIS, None, "none", prob.learn, 2.0)
-    x, xh, W, G, _, _ = _rk4_step(_make_rhs(prob, critic), prob.sim.dt, 0.0,
-                                  np.zeros(2), np.zeros(2), W0.copy(),
-                                  np.eye(6))
+    rhs = _make_rhs(prob, critic)
+    state = (np.zeros(2), np.zeros(2), W0.copy(), np.eye(6))
+    k1, _ = rhs(0.0, *state)
+    x, xh, W, G, _, _ = _rk4_step(rhs, prob.sim.dt, 0.0, *state, k1, 0)
     assert np.allclose(x, 0.0, atol=1e-12)
     assert np.allclose(xh, 0.0, atol=1e-12)
     assert np.allclose(W, W0, atol=1e-12)
