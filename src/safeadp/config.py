@@ -32,13 +32,14 @@ class ConfigError(ValueError):
 
 @contextmanager
 def _invalid(ctx: str):
-    """Re-raise a ValueError or TypeError about a config value as a
-    ConfigError naming its section."""
+    """Re-raise a ValueError or TypeError about a config value, or the
+    MemoryError of a value too large to allocate, as a ConfigError naming
+    its section."""
     try:
         yield
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, MemoryError) as exc:
         raise ConfigError(f"{ctx}: {exc}") from exc
 
 
@@ -54,7 +55,8 @@ def _parse(cls, obj, ctx: str):
     """The dataclass cls from the JSON object obj, named ctx in errors ("" is
     the whole document).  Its fields are the allowed keys, those without a
     default the required ones; an object under a dataclass-typed field is
-    parsed into it, lists become tuples, and cls checks the values."""
+    parsed into it, lists become tuples, a bool or int field takes only a
+    JSON boolean or integer, and cls checks the values."""
     where = ctx or "config"
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object")
@@ -75,6 +77,10 @@ def _parse(cls, obj, ctx: str):
         else:
             kwargs[name] = _tuples(value)
     with _invalid(where):
+        for name, value in kwargs.items():  # exact: true is no integer
+            kind = {bool: "true or false", int: "an integer"}.get(types[name])
+            if kind and type(value) is not types[name]:
+                raise ValueError(f"{name} must be {kind}, got {value!r}")
         return cls(**kwargs)
 
 
@@ -120,10 +126,10 @@ class ObserverConfig:
         if not (isinstance(self.gains, GainsConfig)
                 or self.gains == "synthesize"):
             raise ValueError("gains must be a matrix dict or 'synthesize'")
-        allowed = {f.name for f in fields(lmi.SearchParams)} | {"mode"}
-        if not (isinstance(self.synthesis, dict)
-                and set(self.synthesis) <= allowed):
-            raise ValueError(f"synthesis takes only {sorted(allowed)}")
+        if not isinstance(self.synthesis, dict):
+            raise ValueError("synthesis must be an object")
+        search = {k: v for k, v in self.synthesis.items() if k != "mode"}
+        _parse(lmi.SearchParams, search, "observer.synthesis")
 
     def build(self, model: SystemModel):
         """Returns (ObserverGains, certificate-or-None)."""
@@ -209,28 +215,35 @@ def _check_shapes(config: RunConfig, model: SystemModel, L: int):
     not fit the plant (n states, m inputs, q outputs) or the basis (L
     weights).  The injection gains l1, l2, l3 are read as n rows of q, so
     only their size is checked: an int want is a size, a tuple a shape."""
-    n, m, q = model.n, model.m, model.q
-    sim, learning, gains = config.sim, config.learning, config.observer.gains
-    with _invalid("learning.points"):
-        points = learning.points.build()
-    gamma0 = np.eye(L) if isinstance(sim.Gamma0, str) else sim.Gamma0
-    checks = [("sim.x0", sim.x0, (n,)), ("sim.x_hat0", sim.x_hat0, (n,)),
-              ("sim.Wc0", sim.Wc0, (L,)), ("sim.Gamma0", gamma0, (L, L)),
-              ("learning.R_u", learning.R_u, (m, m)),
-              ("learning.Q", learning.Q, (n, n)),
-              ("learning.points", points, (*np.shape(points)[:1], n)),
-              ("safety.center", config.safety.center, (n,))]
-    if isinstance(gains, GainsConfig):
-        checks += [("observer.gains.P", gains.P, (n, n)),
-                   *((f"observer.gains.{key}", getattr(gains, key), n * q)
-                     for key in ("l1", "l2", "l3"))]
-    for key, value, want in checks:
+    def check(key, value, want):
         with _invalid(key):
             array = np.asarray(value, float)
         what = "size" if isinstance(want, int) else "shape"
         if getattr(array, what) != want:
             raise ConfigError(f"{key}: {what} {getattr(array, what)}, "
                               f"expected {want}")
+
+    n, m, q = model.n, model.m, model.q
+    sim, learning, gains = config.sim, config.learning, config.observer.gains
+    gamma0 = np.eye(L) if isinstance(sim.Gamma0, str) else sim.Gamma0
+    checks = [("sim.x0", sim.x0, (n,)), ("sim.x_hat0", sim.x_hat0, (n,)),
+              ("sim.Wc0", sim.Wc0, (L,)), ("sim.Gamma0", gamma0, (L, L)),
+              ("learning.R_u", learning.R_u, (m, m)),
+              ("learning.Q", learning.Q, (n, n)),
+              ("safety.center", config.safety.center, (n,))]
+    if learning.points.repel_center is not None:
+        checks += [("learning.points.repel_center",
+                    learning.points.repel_center, (n,))]
+    if isinstance(gains, GainsConfig):
+        checks += [("observer.gains.P", gains.P, (n, n)),
+                   *((f"observer.gains.{key}", getattr(gains, key), n * q)
+                     for key in ("l1", "l2", "l3"))]
+    for key, value, want in checks:
+        check(key, value, want)
+    # built last, once the repulsion center is known to fit
+    with _invalid("learning.points"):
+        points = learning.points.build()
+    check("learning.points", points, (*np.shape(points)[:1], n))
 
 
 def build_problem(config: RunConfig):

@@ -376,6 +376,22 @@ def test_cli_run_oversized_log_is_a_run_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_run_unallocatable_point_grid_is_a_config_error(tmp_path, capsys):
+    # (5e6)^2 points: the grid needs more memory than any address space
+    # holds, so numpy refuses it at once on every machine
+    raw = preset("study1").to_dict()
+    raw["learning"]["points"]["per_axis"] = 5_000_000
+    cfg_file = tmp_path / "big.json"
+    cfg_file.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(cfg_file), "--out", str(out)])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "config_error"
+    assert payload["reason"].startswith("learning.points: ")
+    assert not out.exists()
+
+
 def test_cli_run_nonfinite_plant_is_machine_readable(tmp_path, capsys,
                                                      monkeypatch):
     # a registered plant whose drift turns NaN where x1 > 1.1, which the
@@ -527,6 +543,17 @@ INVALID_VALUES = [
     # and the log stride is an integer
     ("run", ("safety", "center", [-0.5, 0.6, 0.0]), []),
     ("run", ("sim", "log_every", 1.5), []),
+    # a flag takes a JSON boolean and a count a JSON integer, never a string
+    # or a boolean in its place
+    ("run", ("observer", "enabled", "false"), HORIZON),
+    ("run", ("sim", "log_every", True), HORIZON),
+    ("run", ("learning.points", "per_axis", True), HORIZON),
+    ("run", (SYNTHESIZE, ("observer.synthesis", "budget", True)), HORIZON),
+    ("synthesize", ("observer.synthesis", "seed", True), ["--budget", "5"]),
+    # the repulsion center has n entries whether or not the points use it
+    ("run", (("learning.points", "kind", "explicit"),
+             ("learning.points", "values", [[0.1, 0.2]]),
+             ("learning.points", "repel_center", [0.0, 0.0, 0.0])), HORIZON),
 ]
 
 
@@ -578,6 +605,38 @@ def test_cli_invalid_value_is_a_config_error(tmp_path, capsys, command, edit,
     err = capsys.readouterr().err
     assert json.loads(err.strip().splitlines()[-1])["error"] == "config_error"
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+# (edit as in INVALID_VALUES, the reason of the config_error): a value that
+# numpy would reject with a message of its own ends on the rule it breaks
+NAMED_RULES = [
+    ((SYNTHESIZE, ("observer.synthesis", "budget", 2.5)),
+     "observer.synthesis: budget must be an integer, got 2.5"),
+    ((("learning.points", "repel_center", [0.0, 0.0, 0.0]),
+      ("learning.points", "repel_radius", 0.1)),
+     "learning.points.repel_center: shape (3,), expected (2,)"),
+    ((("learning.points", "kind", "explicit"),
+      ("learning.points", "values", [[0.1, 0.2]]),
+      ("learning.points", "repel_center", [0.0])),
+     "learning.points.repel_center: shape (1,), expected (2,)"),
+]
+
+
+@pytest.mark.parametrize("edit, reason", NAMED_RULES,
+                         ids=["budget", "repel_center-grid",
+                              "repel_center-explicit"])
+def test_config_error_names_the_rule(tmp_path, capsys, edit, reason):
+    raw = preset("study1").to_dict()
+    for path, key, value in _edits(edit):
+        _object(raw, path)[key] = value
+    cfg_file = tmp_path / "bad.json"
+    cfg_file.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_file), *HORIZON,
+                 "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "config_error", "reason": reason}
     assert not out.exists()
 
 
