@@ -77,7 +77,7 @@ def _parse(cls, obj, ctx: str):
         else:
             kwargs[name] = _tuples(value)
     with _invalid(where):
-        for name, value in kwargs.items():  # exact: true is no integer
+        for name, value in kwargs.items():  # by type: True is an int
             kind = {bool: "true or false", int: "an integer"}.get(types[name])
             if kind and type(value) is not types[name]:
                 raise ValueError(f"{name} must be {kind}, got {value!r}")
