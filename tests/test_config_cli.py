@@ -501,6 +501,8 @@ INVALID_VALUES = [
     ("synthesize", ("observer", "eps0", 0.0), ["--budget", "5"]),
     ("audit-bounds", None, ["--preset", "study1", "--grid", "0"]),
     ("audit-bounds", None, ["--preset", "study1", "--grid", "1"]),
+    # (5e6)^2 points need more memory than any address space holds
+    ("audit-bounds", None, ["--preset", "study1", "--grid", "5000000"]),
     # a negative tolerance fails bounds that hold to rounding
     ("audit-bounds", None, ["--preset", "study1", "--grid", "5", "--tol", "-1"]),
     # shapes that do not fit the plant (n = 2, m = 1, q = 1) or the basis
