@@ -14,7 +14,7 @@ from .model import (DomainSet, SystemModel, audit_jacobian_bounds,
 from .observer import ObserverGains, error_envelope, observer_rhs
 from .presets import PRESET_NAMES, preset
 from .safety import (BarrierDomainError, SafetySpec, circular_obstacle,
-                     lipschitz_audit, parabola_interior)
+                     parabola_interior)
 from .sim import ControlProblem, SimConfig, TrajectoryLog, run
 
 __version__ = "0.1.0"

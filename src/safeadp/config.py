@@ -210,10 +210,10 @@ def load_config(path) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
-def _check_shapes(config: RunConfig, model: SystemModel, L: int):
+def _check_shapes(config: RunConfig, model: SystemModel):
     """Reject, before any gain synthesis runs, a vector or matrix that does
-    not fit the plant (n states, m inputs, q outputs) or the basis (L
-    weights).  The injection gains l1, l2, l3 are read as n rows of q, so
+    not fit the plant (n states, m inputs, q outputs) or the critic basis
+    (L weights).  The injection gains l1, l2, l3 are read as n rows of q, so
     only their size is checked: an int want is a size, a tuple a shape."""
     def check(key, value, want):
         with _invalid(key):
@@ -223,7 +223,7 @@ def _check_shapes(config: RunConfig, model: SystemModel, L: int):
             raise ConfigError(f"{key}: {what} {getattr(array, what)}, "
                               f"expected {want}")
 
-    n, m, q = model.n, model.m, model.q
+    n, m, q, L = model.n, model.m, model.q, quadratic_basis_2d().L
     sim, learning, gains = config.sim, config.learning, config.observer.gains
     gamma0 = np.eye(L) if isinstance(sim.Gamma0, str) else sim.Gamma0
     checks = [("sim.x0", sim.x0, (n,)), ("sim.x_hat0", sim.x_hat0, (n,)),
@@ -249,11 +249,11 @@ def _check_shapes(config: RunConfig, model: SystemModel, L: int):
 def build_problem(config: RunConfig):
     """Assemble the closed-loop problem.  Returns (problem, synth_certificate)."""
     model = config.model.build()
-    basis = quadratic_basis_2d()
-    _check_shapes(config, model, basis.L)
+    _check_shapes(config, model)
     gains, cert = config.observer.build(model)
     spec = config.safety.build()
-    problem = ControlProblem(model=model, gains=gains, basis=basis,
+    problem = ControlProblem(model=model, gains=gains,
+                             basis=quadratic_basis_2d(),
                              learn=config.learning, spec=spec, sim=config.sim,
                              observer_enabled=config.observer.enabled)
     return problem, cert

@@ -71,7 +71,6 @@ class SystemModel:
     Kg2: np.ndarray
     u_bar: float
     domain: DomainSet
-    name: str = "custom"
 
     def __post_init__(self):
         for attr in ("C", "Kf1", "Kf2", "Kg1", "Kg2"):
@@ -222,7 +221,7 @@ def vamvoudakis2d(u_bar: float = 10.0, box_halfwidth: float = 3.0) -> SystemMode
     domain = DomainSet(center=np.zeros(2), halfwidths=np.full(2, box_halfwidth))
     return SystemModel(n=2, m=1, q=1, f=f, g=g, C=np.array([[0.0, 1.0]]),
                        Kf1=Kf1, Kf2=Kf2, Kg1=Kg1, Kg2=Kg2,
-                       u_bar=u_bar, domain=domain, name="vamvoudakis2d")
+                       u_bar=u_bar, domain=domain)
 
 
 MODEL_REGISTRY: dict[str, Callable[..., SystemModel]] = {

@@ -25,13 +25,14 @@ class BarrierDomainError(RuntimeError):
 
 @dataclass(frozen=True)
 class SafetySpec:
-    """Barrier h with analytic gradient, Lipschitz-style constant, barrier gain."""
+    """Barrier h with analytic gradient, the Lipschitz constant of h over a
+    box, the configured constant ell of the robust margin, barrier gain."""
 
     h: Callable[[np.ndarray], np.ndarray]
     grad_h: Callable[[np.ndarray], np.ndarray]
+    lipschitz: Callable[[DomainSet], float]
     ell: float
     kappa: float
-    name: str = "custom"
 
     def __post_init__(self):
         if not (0 < self.ell < np.inf and 0 < self.kappa < np.inf):
@@ -52,8 +53,13 @@ def parabola_interior(kappa: float, ell: float) -> SafetySpec:
         out[..., 1] = -2.0 * x[..., 1]
         return out
 
-    return SafetySpec(h=h, grad_h=grad_h, ell=ell, kappa=kappa,
-                      name="parabola_interior")
+    def lipschitz(box):
+        # |grad h| = sqrt(1 + 4 x2^2) peaks where |x2| does
+        x2_max = abs(box.center[1]) + box.halfwidths[1]
+        return float(np.sqrt(1.0 + 4.0 * x2_max ** 2))
+
+    return SafetySpec(h=h, grad_h=grad_h, lipschitz=lipschitz, ell=ell,
+                      kappa=kappa)
 
 
 def circular_obstacle(center, radius: float, kappa: float, ell: float) -> SafetySpec:
@@ -69,8 +75,13 @@ def circular_obstacle(center, radius: float, kappa: float, ell: float) -> Safety
     def grad_h(x):
         return 2.0 * (np.asarray(x, float) - center)
 
-    return SafetySpec(h=h, grad_h=grad_h, ell=ell, kappa=kappa,
-                      name="circular_obstacle")
+    def lipschitz(box):
+        # |grad h| = 2 |x - center| peaks at the box corner farthest away
+        return float(2.0 * np.linalg.norm(np.abs(box.center - center)
+                                          + box.halfwidths))
+
+    return SafetySpec(h=h, grad_h=grad_h, lipschitz=lipschitz, ell=ell,
+                      kappa=kappa)
 
 
 def _recenter_log(spec: SafetySpec, margin):
@@ -117,28 +128,3 @@ def barrier_value_and_gradient(spec: SafetySpec, zeta, use_envelope: bool = True
     if clamped is not None:
         grad[clamped] = 0.0
     return val, grad
-
-
-def lipschitz_audit(spec: SafetySpec, domain: DomainSet, n_pairs: int = 1000,
-                    seed: int = 0) -> dict:
-    """Sampled check of |h(a)-h(b)| <= ell*||a-b|| on the simulation domain.
-
-    The configured ell values are design constants, not certified Lipschitz
-    bounds; a violation here is reported as a warning, not an error.
-    """
-    rng = np.random.default_rng(seed)
-    n = domain.dim
-    lo = domain.center - domain.halfwidths
-    hi = domain.center + domain.halfwidths
-    a = rng.uniform(lo, hi, size=(n_pairs, n))
-    b = rng.uniform(lo, hi, size=(n_pairs, n))
-    dist = np.linalg.norm(a - b, axis=1)
-    keep = dist > 1e-12
-    ratio = np.abs(spec.h(a[keep]) - spec.h(b[keep])) / dist[keep]
-    worst = float(ratio.max())
-    return {
-        "configured_ell": spec.ell,
-        "observed_ratio_max": worst,
-        "ok": bool(worst <= spec.ell),
-        "n_pairs": int(keep.sum()),
-    }

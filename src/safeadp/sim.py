@@ -253,16 +253,15 @@ def _rk4_step(rhs, dt: float, t: float, x, x_hat, weights, gain, k1, k: int):
 
 
 def _safety(log: TrajectoryLog) -> dict:
-    """Minimum and first violation of h and of the robust margin, read off
-    the logged rows."""
+    """Time of the minimum of h, and first violation of h and of the robust
+    margin, read off the logged rows.  The minima themselves are the
+    summary's min_h and min_h_robust."""
     def first_negative(v):
         i = np.flatnonzero(v < 0)
         return float(log.t[i[0]]) if i.size else None
 
-    i_min = int(np.argmin(log.h))
     breach = first_negative(log.h)
-    return {"min_h": float(log.h[i_min]), "min_h_time": float(log.t[i_min]),
-            "min_robust_margin": float(np.min(log.h_robust)),
+    return {"min_h_time": float(log.t[np.argmin(log.h)]),
             "first_violation_time": breach,
             "first_margin_violation_time": first_negative(log.h_robust),
             "violated": breach is not None}

@@ -215,7 +215,7 @@ def test_cli_run_artifacts(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["abort_reason"] is None
     assert summary["controller_mode"] == "rlcbf"
-    assert summary["safety"]["min_h"] > 0
+    assert summary["min_h"] > 0
     header = (out / "trajectory.csv").read_text().splitlines()[0]
     assert header.split(",")[:6] == ["t", "x1", "x2", "xhat1", "xhat2",
                                      "envelope"]
@@ -273,8 +273,9 @@ def test_cli_audit_bounds(tmp_path, capsys):
     captured = capsys.readouterr()
     report = json.loads(captured.out)
     assert report["ok"] is True
-    assert "lipschitz" in report
-    assert not report["lipschitz"]["ok"]
+    # |grad h| = sqrt(1 + 4 x2^2) on the box |x2| <= 3 peaks at sqrt(37)
+    assert report["lipschitz"] == {"configured_ell": 0.1,
+                                   "bound": np.sqrt(37.0), "ok": False}
     assert "warning" in captured.err
     assert (out / "bounds_audit.json").exists()
 
@@ -322,6 +323,7 @@ def test_cli_synthesize_reads_observer_synthesis_like_run(tmp_path, capsys):
     ["verify-lmi", "--dt", "0.01"],
     ["synthesize", "--horizon", "0.01", "--budget", "5"],
     ["audit-bounds", "--monitor", "warn", "--grid", "5"],
+    ["audit-bounds", "--seed", "0", "--grid", "5"],
     ["run", "--seed", "1", "--horizon", "0.01"],
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_cli_unread_flag_is_a_usage_error(tmp_path, capsys, argv):
@@ -403,7 +405,7 @@ def test_cli_run_nonfinite_plant_is_machine_readable(tmp_path, capsys,
             x = np.asarray(x, float)
             return np.where(x[..., :1] > 1.1, np.nan, base.f(x))
 
-        return dataclasses.replace(base, f=f, name="nan_beyond")
+        return dataclasses.replace(base, f=f)
 
     monkeypatch.setitem(MODEL_REGISTRY, "nan_beyond", nan_beyond)
     raw = preset("lq_oracle").to_dict()
@@ -545,6 +547,11 @@ INVALID_VALUES = [
     # and the log stride is an integer
     ("run", ("safety", "center", [-0.5, 0.6, 0.0]), []),
     ("run", ("sim", "log_every", 1.5), []),
+    # audit-bounds checks the shapes that run and verify-lmi check, among
+    # them the center its Lipschitz bound of a disk reads
+    ("audit-bounds", (("safety", "kind", "circular_obstacle"),
+                      ("safety", "center", [-0.5, 0.6, 0.0])), []),
+    ("audit-bounds", ("sim", "x0", [-3.0, 1.5, 0.0]), []),
     # a flag takes a JSON boolean and a count a JSON integer, never a string
     # or a boolean in its place
     ("run", ("observer", "enabled", "false"), HORIZON),

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safeadp.model import DomainSet
 from safeadp.observer import ObserverGains
 from safeadp.safety import (BarrierDomainError, barrier_value_and_gradient,
-                            circular_obstacle, lipschitz_audit,
-                            parabola_interior)
+                            circular_obstacle, parabola_interior)
 from safeadp.sim import TrajectoryLog, _safety
 
 STUDY1_P = np.array([[0.27222, 0.15875], [0.15875, 0.40954]])
@@ -131,12 +132,25 @@ def test_barrier_nonnegative_and_recentered(rng):
                    for p in off[:50])
 
 
-def test_lipschitz_audit_flags_small_ell():
-    box = DomainSet(center=np.zeros(2), halfwidths=np.full(2, 3.0))
-    report = lipschitz_audit(SPEC1, box, n_pairs=500, seed=1)
-    assert not report["ok"]                 # 0.1 is far below the true slope
-    generous = parabola_interior(kappa=0.01, ell=10.0)
-    assert lipschitz_audit(generous, box, n_pairs=500, seed=1)["ok"]
+_point = st.tuples(st.floats(-3, 3), st.floats(-3, 3))
+
+
+@given(_point, st.tuples(st.floats(0.05, 3), st.floats(0.05, 3)), _point,
+       st.floats(0.05, 2))
+@settings(max_examples=100, deadline=None)
+def test_lipschitz_bound_is_the_max_gradient_norm_on_the_box(
+        box_center, halfwidths, disk_center, radius):
+    box = DomainSet(center=box_center, halfwidths=halfwidths)
+    lo, hi = box.center - box.halfwidths, box.center + box.halfwidths
+    a, b = np.random.default_rng(0).uniform(lo, hi, size=(2, 500, 2))
+    grid = box.grid(101)                    # its edges hold the box corners
+    for spec in (parabola_interior(kappa=1.0, ell=1.0),
+                 circular_obstacle(disk_center, radius, kappa=1.0, ell=1.0)):
+        bound = spec.lipschitz(box)
+        ratio = np.abs(spec.h(a) - spec.h(b)) / np.linalg.norm(a - b, axis=1)
+        assert ratio.max() <= bound + 1e-9
+        grad_max = np.linalg.norm(spec.grad_h(grid), axis=1).max()
+        assert grad_max - 1e-9 <= bound <= grad_max + 1e-9
 
 
 def _log(t, x, envelope=0.0):
@@ -156,7 +170,7 @@ def test_safety_summary_all_safe():
     safety = _safety(_log(t, x))
     assert safety["first_violation_time"] is None
     assert safety["first_margin_violation_time"] is None
-    assert safety["min_h"] > 0
+    assert safety["min_h_time"] == 1.0        # h = 1 - x1 is least at x1 = 0
     assert not safety["violated"]
 
 
@@ -173,15 +187,14 @@ def test_safety_summary_detects_breach():
 
 def test_safety_summary_single_point():
     safety = _safety(_log([0.0], np.zeros((1, 2))))
-    assert safety["min_h"] == pytest.approx(1.0)
     assert safety["min_h_time"] == 0.0
     assert not safety["violated"]
 
 
-def test_run_summary_safety_repeats_the_logged_minima(study1_run):
-    summary = study1_run.summary
-    assert summary.safety["min_h"] == summary.min_h
-    assert summary.safety["min_robust_margin"] == summary.min_h_robust
+def test_run_summary_safety_keys_are_not_top_level_keys(study1_run):
+    summary = study1_run.summary.to_json_dict()
+    assert summary["safety"]
+    assert not set(summary["safety"]) & set(summary)
 
 
 def test_safety_lemma_chain(study1_run):

@@ -200,7 +200,7 @@ def _nan_beyond(x1_max, u_bar=100.0, box_halfwidth=3.0):
         x = np.asarray(x, float)
         return np.where(x[..., :1] > x1_max, np.nan, base.f(x))
 
-    return dataclasses.replace(base, f=f, name="nan_beyond")
+    return dataclasses.replace(base, f=f)
 
 
 def _oracle_problem(model, x0=(0.9, 2.5), T=0.5):

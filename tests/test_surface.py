@@ -41,6 +41,12 @@ def test_public_names_are_module_level_and_method_names():
     assert names == sorted(set(names))
 
 
+def test_public_names_stay_within_the_ceiling():
+    # the size target of ROADMAP.md allows at most 80 public names
+    _, names = surface.surface(SRC)
+    assert len(names) <= 80
+
+
 def test_cli_options_are_the_flags_each_subcommand_lists():
     commands = re.search(r"\{([\w,-]+)\}", _help()).group(1).split(",")
     flags = {command: set(re.findall(r"^\s+(?:-\w, )?(--[\w-]+)",
