@@ -8,8 +8,9 @@ a run that aborts at step 0, whose CSV files hold only their header rows,
 a seeded `synthesize` in each mode, and the Jacobian-bound and Lipschitz
 audit of study1 (a parabola barrier) and study2 (a disk).  The JSON dump of
 every preset (`safeadp presets --name <p>`) is hashed as well, so the
-accepted config schema and the preset values cannot drift.  Regenerate the stored file
-only in a change that deliberately alters an output, and say so in CHANGES.md:
+accepted config schema and the preset values cannot drift.  Regenerate the
+stored file only in a change that deliberately alters an output, and say so
+in CHANGES.md:
 
     PYTHONPATH=src python3 tests/golden/test_cli_outputs.py --regen
 """

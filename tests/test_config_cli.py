@@ -547,8 +547,8 @@ INVALID_VALUES = [
     # and the log stride is an integer
     ("run", ("safety", "center", [-0.5, 0.6, 0.0]), []),
     ("run", ("sim", "log_every", 1.5), []),
-    # audit-bounds checks the shapes that run and verify-lmi check, among
-    # them the center its Lipschitz bound of a disk reads
+    # audit-bounds checks shapes as run and verify-lmi do; the Lipschitz
+    # bound of a disk reads its center
     ("audit-bounds", (("safety", "kind", "circular_obstacle"),
                       ("safety", "center", [-0.5, 0.6, 0.0])), []),
     ("audit-bounds", ("sim", "x0", [-3.0, 1.5, 0.0]), []),
