@@ -15,7 +15,6 @@ gated by `verify_gains`.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import asdict, dataclass, field
 
@@ -25,14 +24,7 @@ from .model import SystemModel
 
 FEASIBILITY_TOL = 1e-9
 VERIFY_MODES = ("theta_identity", "all_vertices")
-# all_vertices assembles 2^(n^2) matrices in one stack: at n = 4 that is
-MAX_VERTEX_DIM = 4      # 2^16 matrices of 8 x 8, about 32 MiB per temporary
-# An n = 4 all_vertices synthesis (seed-5 random plant, q = 1; ru_maxrss,
-# Python 3.11, numpy 2.4, 2-core x86-64, medians of three runs) peaks at
-# 112-113 MiB resident and takes 2.4, 7.2 and 19.1 s at budgets 5, 40 and
-# 200.  Forming the theta products at every assembly instead peaked at
-# 111 MiB and took 2.2, 7.0 and 19.8 s; the search holds 10 MiB of them and
-# lets them go before its final verification, which forms its own.
+MAX_VERTEX_DIM = 3      # all_vertices checks 2^(n^2) matrices, 512 at n = 3
 
 @dataclass(frozen=True)
 class LmiProblem:
@@ -72,25 +64,19 @@ class LmiProblem:
         return self.C.shape[0]
 
     def theta_vertices(self) -> np.ndarray:
-        """Read-only stack of the 2^(n^2) zero-one vertex matrices."""
-        return _vertex_stack(self.n)
+        """Stack of the 2^(n^2) zero-one vertex matrices."""
+        n = self.n
+        if n > MAX_VERTEX_DIM:
+            raise ValueError(
+                f"vertex enumeration needs 2^{n * n} matrices for n = {n}; "
+                f"it is limited to n <= {MAX_VERTEX_DIM}")
+        return np.reshape(list(itertools.product((0.0, 1.0), repeat=n * n)),
+                          (-1, n, n))
 
     @classmethod
     def from_model(cls, model: SystemModel, alpha: float) -> "LmiProblem":
         return cls(C=model.C, Kf1=model.Kf1, Kf2=model.Kf2,
                    Kg1=model.Kg1, Kg2=model.Kg2, alpha=alpha)
-
-
-@functools.lru_cache(maxsize=MAX_VERTEX_DIM)
-def _vertex_stack(n: int) -> np.ndarray:
-    if n > MAX_VERTEX_DIM:
-        raise ValueError(
-            f"vertex enumeration needs 2^{n * n} matrices for n = {n}; "
-            f"it is limited to n <= {MAX_VERTEX_DIM}")
-    stack = np.reshape(list(itertools.product((0.0, 1.0), repeat=n * n)),
-                       (-1, n, n))
-    stack.flags.writeable = False
-    return stack
 
 
 @dataclass
@@ -237,10 +223,7 @@ class SearchParams:
 
 
 PD_FLOOR = 1e-6     # smallest eigenvalue of a candidate P
-# The search evaluates up to BATCH candidates in one kernel call, capped so
-# that a batch holds at most BATCH_MATRICES verification matrices.
-BATCH = 16
-BATCH_MATRICES = 4096
+BATCH = 16          # candidates the search evaluates in one kernel call
 # Rounding slack of the subgradient prune.  With N(p) = |p1| . w, a bound on
 # |M(p, theta)|_2 (`_norm_weights`), and u = 2^-53, a candidate's computed top
 # eigenvalue is at least its computed max_t G[t] . p1 less three errors:
@@ -248,7 +231,7 @@ BATCH_MATRICES = 4096
 # multiple of 2n u N(p)); the assembly (a few rounded products per entry);
 # and the affine evaluation (G from a few products per entry, each
 # |G[t, k]| <= w_k, a dot product of at most 41 terms, and |v| = 1 only to
-# rounding).  For 2n <= 8 each is below 10^3 u N(p); the slack, 1e-9 N(p),
+# rounding).  For 2n <= 6 each is below 10^3 u N(p); the slack, 1e-9 N(p),
 # is about 10^7 u N(p).
 PRUNE_SLACK = 1e-9
 
@@ -320,8 +303,8 @@ def _penalties(problem: LmiProblem, p1, thetas: _ThetaStack, bound=np.inf,
     """One entry per candidate row p1 = (1, P, R_lmi, l1, l2) of a stack
     (K, 1 + n^2 + 3nq) and, with several thetas, the minorant (G, w) of the
     first candidate whose penalty is below bound: its `_minorant` rows at its
-    top eigenvectors, at the BATCH_MATRICES thetas where its top eigenvalue
-    is highest, and the `_norm_weights` (None if no penalty is below bound).
+    top eigenvectors and the `_norm_weights` (None if no penalty is below
+    bound).
 
     A penalty is the top eigenvalue over thetas plus a hinge on the
     injection norms.  An entry below bound is the candidate's penalty, bit
@@ -354,15 +337,9 @@ def _penalties(problem: LmiProblem, p1, thetas: _ThetaStack, bound=np.inf,
     below = low[pens[low] < bound]
     if len(thetas.theta) == 1 or not len(below):
         return entries, None
-    # eigh for the top eigenvectors only, the penalties stay those of
-    # eigvalsh.  A maximum over any subset of the thetas' minorants is still a
-    # lower bound, so they are taken at the BATCH_MATRICES thetas where the
-    # candidate peaks: at n = 4 an eigh of all 2^16 would cost twice the
-    # eigvalsh of the evaluation, at every acceptance
-    first = below[0]
-    top = np.argsort(eigs[first])[-BATCH_MATRICES:]
-    G = _minorant(problem, thetas.theta[top],
-                  np.linalg.eigh(M[first, top])[1][..., -1])
+    # eigh for the top eigenvectors only, the penalties stay those of eigvalsh
+    G = _minorant(problem, thetas.theta,
+                  np.linalg.eigh(M[below[0]])[1][..., -1])
     return entries, (G, _norm_weights(problem) if minorant is None
                      else minorant[1])
 
@@ -395,7 +372,6 @@ def synthesize_gains(problem: LmiProblem, search: SearchParams = SearchParams(),
     n, q = problem.n, problem.q
     rng = np.random.default_rng(search.seed)
     thetas = _thetas(problem, mode)
-    batch = max(1, min(BATCH, BATCH_MATRICES // len(thetas.theta)))
 
     best = np.concatenate([[1.0], np.eye(n).ravel(), np.zeros(3 * n * q)])
     [best_pen], minorant = _penalties(problem, best[None], thetas)
@@ -404,12 +380,12 @@ def synthesize_gains(problem: LmiProblem, search: SearchParams = SearchParams(),
     scale = np.repeat([1.0, 0.1], [n * n + n * q, 2 * n * q])
     # one row per iteration: its P, R_lmi, l1 and l2 perturbations, raveled;
     # the first `drawn` rows hold noise that no candidate has used yet
-    noise = np.empty((batch, n * n + 3 * n * q))
-    cands = np.ones((batch, 1 + n * n + 3 * n * q))
+    noise = np.empty((BATCH, n * n + 3 * n * q))
+    cands = np.ones((BATCH, 1 + n * n + 3 * n * q))
     drawn = 0
     left = search.budget if best_pen > -search.tol else 0
     while left > 0:
-        k = min(batch, left)
+        k = min(BATCH, left)
         rng.standard_normal(out=noise[drawn:k])
         steps = [step]      # the steps if every candidate is rejected
         for _ in range(k):
@@ -431,9 +407,6 @@ def synthesize_gains(problem: LmiProblem, search: SearchParams = SearchParams(),
         drawn = k - used
         left = 0 if best_pen < -search.tol else left - used
 
-    # the verification forms its own theta products (about 10 MiB at n = 4),
-    # so the search's are let go first
-    del thetas, minorant
     P, R, l1, l2 = (a[0] for a in _parts(problem, best[None]))
     l3 = np.linalg.solve(P, R)
     cert = verify_gains(problem, P, R, l1, l2, mode=mode, tol=search.tol)

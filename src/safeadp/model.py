@@ -80,6 +80,8 @@ class SystemModel:
         for attr in ("Kf1", "Kf2", "Kg1", "Kg2"):
             if getattr(self, attr).shape != (self.n, self.n):
                 raise ValueError(f"{attr} must be {(self.n, self.n)}")
+            if not np.isfinite(getattr(self, attr)).all():
+                raise ValueError(f"Jacobian bound {attr} must be finite")
         if np.any(self.Kf1 > self.Kf2) or np.any(self.Kg1 > self.Kg2):
             raise ValueError("lower Jacobian bounds exceed upper bounds")
         if not 0 < self.u_bar < np.inf:

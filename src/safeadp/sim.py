@@ -58,6 +58,8 @@ class SimConfig:
             raise ValueError("horizon must be nonnegative and finite")
         if self.T > 0 and self.T <= self.dt:
             raise ValueError("horizon must exceed the step size")
+        if not self.T / self.dt < float("inf"):
+            raise ValueError("the step count T / dt must be finite")
         if self.controller_mode not in CONTROLLER_MODES:
             raise ValueError(f"unknown controller mode {self.controller_mode!r}")
         if self.monitor_action not in ("warn", "abort"):

@@ -563,6 +563,18 @@ INVALID_VALUES = [
     ("run", (("learning.points", "kind", "explicit"),
              ("learning.points", "values", [[0.1, 0.2]]),
              ("learning.points", "repel_center", [0.0, 0.0, 0.0])), HORIZON),
+    # a step count T / dt that overflows to infinity
+    ("run", None, ["--preset", "study1", "--dt", "5e-324"]),
+    ("run", ("sim", "T", 1e308), []),
+    # finite values whose Jacobian bounds or decay term overflow the
+    # verification matrix
+    ("run", ("model", "u_bar", 1e308), []),
+    ("verify-lmi", ("model", "u_bar", 1e308), []),
+    ("run", ("model", "box_halfwidth", 1e308), []),
+    ("verify-lmi", ("model", "box_halfwidth", 1e308), []),
+    ("audit-bounds", ("model", "box_halfwidth", 1e308), []),
+    ("run", ("observer", "alpha", 1e308), []),
+    ("verify-lmi", ("observer", "alpha", 1e308), []),
 ]
 
 

@@ -98,8 +98,8 @@ def test_nan_decay_rate_is_rejected():
 
 
 def test_vertex_enumeration_refuses_large_state(monkeypatch):
-    # n = 5 would enumerate 2^25 matrices; the cap must fire before any
-    # vertex is built
+    # n = 4 would enumerate 2^16 matrices; the cap must fire before any
+    # vertex is built, in a verification and in a search
     def no_enumeration(*args, **kwargs):
         raise AssertionError("vertex enumeration started")
 
@@ -107,9 +107,11 @@ def test_vertex_enumeration_refuses_large_state(monkeypatch):
     n = MAX_VERTEX_DIM + 1
     problem = _zero_gap_problem(-np.eye(n), C=np.eye(1, n))
     zeros = np.zeros((n, 1))
-    with pytest.raises(ValueError, match=r"2\^25 matrices for n = 5"):
+    with pytest.raises(ValueError, match=r"2\^16 matrices for n = 4"):
         verify_gains(problem, np.eye(n), zeros, zeros, zeros,
                      mode="all_vertices")
+    with pytest.raises(ValueError, match=r"2\^16 matrices for n = 4"):
+        synthesize_gains(problem, SearchParams(budget=5), mode="all_vertices")
     cert = verify_gains(problem, np.eye(n), zeros, zeros, zeros)
     assert cert.mode == "theta_identity"
 
@@ -303,20 +305,19 @@ def test_verify_matches_per_theta_loop(n, q, mode, seed):
 
 
 def test_vertex_stack_is_not_shared_mutable_state():
-    # the vertex stack is built once per n and reused; a certificate must not
-    # be able to change what the next verification checks
+    # a certificate, or a vertex stack handed out before, must not be able to
+    # change what the next verification checks
     A = np.array([[-1.0, 2.0], [0.5, -4.0]])
     problem = _zero_gap_problem(A, alpha=0.3)
     args = (problem, np.eye(2), np.zeros((2, 1)), np.zeros((2, 1)),
             np.zeros((2, 1)))
     first = verify_gains(*args, mode="all_vertices")
-    with pytest.raises(ValueError):
-        first.worst_theta[...] = 0.5
-    with pytest.raises(ValueError):
-        problem.theta_vertices()[0, 0, 0] = 0.5
+    worst = first.worst_theta.copy()
+    first.worst_theta[...] = 0.5
+    problem.theta_vertices()[...] = 0.5
     again = verify_gains(*args, mode="all_vertices")
     assert _hex(again.vertex_eigenvalues) == _hex(first.vertex_eigenvalues)
-    assert again.worst_theta.tobytes() == first.worst_theta.tobytes()
+    assert again.worst_theta.tobytes() == worst.tobytes()
 
 
 # ------------------------------------------ frozen one-candidate gain search
@@ -386,9 +387,7 @@ def test_batched_search_matches_one_candidate_loop(n, q, mode, easy, budget,
     problem = (_easy_instance(n, q, seed) if easy
                else _random_instance(n, q, seed)[1])
     if isinstance(budget, str):     # around the candidates of one batch
-        thetas = 1 if mode == "theta_identity" else 2 ** (n * n)
-        K = max(1, min(lmi.BATCH, lmi.BATCH_MATRICES // thetas))
-        budget = K + {"K-1": -1, "K": 0, "K+1": 1}[budget]
+        budget = lmi.BATCH + {"K-1": -1, "K": 0, "K+1": 1}[budget]
     search = SearchParams(budget=budget, step=step, seed=seed)
     *arrays, cert = synthesize_gains(problem, search, mode=mode)
     *frozen, frozen_cert = _frozen_synthesize(problem, search, mode)
@@ -417,24 +416,6 @@ def test_batched_search_stops_inside_a_batch(monkeypatch):
     assert cert.feasible and frozen_cert.feasible
     assert [a.tobytes() for a in arrays] == [a.tobytes() for a in frozen]
     assert sizes == [1, lmi.BATCH, 1]
-
-
-def test_four_state_vertex_batch_holds_one_candidate(monkeypatch):
-    # 2^16 vertex matrices exceed the batch bound, so every evaluation
-    # assembles one candidate at one probe vertex or at all of its vertices,
-    # never more matrices than before batching
-    sizes = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def recorded(a, *args, **kwargs):
-        sizes.append(a.shape[:-2])
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(lmi.np.linalg, "eigvalsh", recorded)
-    _, problem, *_ = _random_instance(4, 1, 5)
-    synthesize_gains(problem, SearchParams(budget=2), mode="all_vertices")
-    assert sizes[0] == sizes[-1] == (1, 2 ** 16)
-    assert set(sizes) <= {(1, 1), (1, 2 ** 16)}
 
 
 # ------------------------------------------- subgradient prune of the search
@@ -500,28 +481,14 @@ def test_norm_weights_bound_each_term_of_the_matrix(n, q, seed):
 @given(n=st.sampled_from([1, 2, 3]), q=st.sampled_from([1, 2]),
        count=st.integers(1, 9), step=st.sampled_from([1e-3, 0.1, 1.0]),
        scale=st.sampled_from([1.0, 1e3, 1e6]), incumbent=st.booleans(),
-       quantile=st.floats(0.0, 1.0), kept=st.sampled_from([1, 3, 4096]),
-       seed=st.integers(0, 2**32 - 1))
+       quantile=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
 def test_subgradient_prune_is_exact(n, q, count, step, scale, incumbent,
-                                    quantile, kept, seed):
+                                    quantile, seed):
     # an entry below the bound is the candidate's exact penalty; any other
     # entry lies between the bound and that penalty, so the candidate could
     # not have been accepted; and the minorant handed back is the one its own
     # evaluation gives.  The bound is the exact penalty of the incumbent
-    # (candidate 0) or of another candidate.  The minorant keeps at most
-    # BATCH_MATRICES thetas, here `kept`, so that its subsets are tested at
-    # n <= 3 as at n = 4.
-    batch_matrices = lmi.BATCH_MATRICES
-    lmi.BATCH_MATRICES = kept
-    try:
-        _check_subgradient_prune(n, q, count, step, scale, incumbent,
-                                 quantile, kept, seed)
-    finally:
-        lmi.BATCH_MATRICES = batch_matrices
-
-
-def _check_subgradient_prune(n, q, count, step, scale, incumbent, quantile,
-                             kept, seed):
+    # (candidate 0) or of another candidate.
     rng, problem, *best = _random_instance(n, q, seed)
     thetas = lmi._thetas(problem, "all_vertices")
     best = _p1(*(b[None] for b in best))
@@ -530,7 +497,7 @@ def _check_subgradient_prune(n, q, count, step, scale, incumbent, quantile,
     G, w = minorant
     peak = lmi._top_eigenvalues(problem, *lmi._parts(problem, best),
                                 thetas)[0].max()
-    assert len(G) == min(kept, len(thetas.theta))
+    assert len(G) == len(thetas.theta)
     assert abs(np.max(G @ best[0]) - peak) <= \
         lmi.PRUNE_SLACK * (np.abs(best[0]) @ w)
     p1 = np.repeat(best, count, axis=0)
