@@ -97,35 +97,13 @@ class LmiCertificate:
                 "worst_theta": np.asarray(self.worst_theta).tolist()}
 
 
-@dataclass(frozen=True)
-class _ThetaStack:
-    """A stack of theta matrices (..., n, n) with the products that the
-    assembly takes of theta alone, so that a search forms them once."""
-
-    theta: np.ndarray
-    A_theta: np.ndarray
-    C_theta: np.ndarray
-    A_theta_T: np.ndarray
-    C_theta_T: np.ndarray
-
-
-def _theta_stack(problem: LmiProblem, theta) -> _ThetaStack:
-    """The `_ThetaStack` of one theta (n, n) or of a stack of them."""
-    theta = np.asarray(theta, float)
-    if theta.shape[-2:] != (problem.n, problem.n):
-        raise ValueError("dimension mismatch in verification matrix assembly")
-    A_theta, C_theta = problem.A @ theta, problem.C @ theta
-    return _ThetaStack(theta, A_theta, C_theta, A_theta.swapaxes(-1, -2),
-                       C_theta.swapaxes(-1, -2))
-
-
 def assemble_lmi_matrix(problem: LmiProblem, P, R_lmi, l1, l2, theta) -> np.ndarray:
     """Symmetric 2n x 2n verification matrix for each candidate and each theta.
 
     P may be one n x n matrix or a stack (..., n, n) of candidates, with
     R_lmi, l1 and l2 of shape (..., n, q) to match; theta is one n x n
-    matrix or a stack of them, or the `_ThetaStack` of either.  The result
-    has shape (candidates..., thetas..., 2n, 2n).
+    matrix or a stack of them.  The result has shape
+    (candidates..., thetas..., 2n, 2n).
     """
     n, q = problem.n, problem.q
     P = np.asarray(P, float)
@@ -133,20 +111,20 @@ def assemble_lmi_matrix(problem: LmiProblem, P, R_lmi, l1, l2, theta) -> np.ndar
     R = np.asarray(R_lmi, float).reshape(lead + (n, q))
     l1 = np.asarray(l1, float).reshape(lead + (n, q))
     l2 = np.asarray(l2, float).reshape(lead + (n, q))
-    th = (theta if isinstance(theta, _ThetaStack)
-          else _theta_stack(problem, theta))
-    if P.shape[-2:] != (n, n):
+    theta = np.asarray(theta, float)
+    if P.shape[-2:] != (n, n) or theta.shape[-2:] != (n, n):
         raise ValueError("dimension mismatch in verification matrix assembly")
+    A_theta, C_theta = problem.A @ theta, problem.C @ theta
 
     # candidate terms broadcast over the theta axes
-    over_theta = (1,) * (th.theta.ndim - 2)
+    over_theta = (1,) * (theta.ndim - 2)
     Pb = P.reshape(lead + over_theta + (n, n))
     Rb = R.reshape(lead + over_theta + (n, q))
     eye = np.eye(n)
 
-    top_left = (th.A_theta_T @ Pb + Pb @ th.A_theta
-                - th.C_theta_T @ Rb.swapaxes(-1, -2)
-                - Rb @ th.C_theta
+    top_left = (A_theta.swapaxes(-1, -2) @ Pb + Pb @ A_theta
+                - C_theta.swapaxes(-1, -2) @ Rb.swapaxes(-1, -2)
+                - Rb @ C_theta
                 + 2.0 * problem.alpha * Pb)
     lower_off = (np.sqrt(2.0) * P
                  + problem.gap_f @ (eye - l1 @ problem.C)
@@ -160,20 +138,19 @@ def assemble_lmi_matrix(problem: LmiProblem, P, R_lmi, l1, l2, theta) -> np.ndar
     return M
 
 
-def _thetas(problem: LmiProblem, mode: str) -> _ThetaStack:
-    """The `_ThetaStack` of the theta matrices that a mode checks."""
+def _thetas(problem: LmiProblem, mode: str) -> np.ndarray:
+    """The stack (T, n, n) of the theta matrices that a mode checks."""
     if mode not in VERIFY_MODES:
         raise ValueError(f"unknown verification mode {mode!r}")
-    return _theta_stack(problem, np.eye(problem.n)[None]
-                        if mode == "theta_identity"
-                        else problem.theta_vertices())
+    return (np.eye(problem.n)[None] if mode == "theta_identity"
+            else problem.theta_vertices())
 
 
 def _top_eigenvalues(problem: LmiProblem, P, R_lmi, l1, l2, thetas):
     """(top eigenvalues, matrices) of K candidates at T thetas: P is
-    (K, n, n), R_lmi, l1 and l2 are (K, n, q) and thetas is (T, n, n) or its
-    `_ThetaStack`.  The eigenvalues are (K, T) and the matrices the assembled
-    (K, T, 2n, 2n) stack."""
+    (K, n, n), R_lmi, l1 and l2 are (K, n, q) and thetas is (T, n, n).  The
+    eigenvalues are (K, T) and the matrices the assembled (K, T, 2n, 2n)
+    stack."""
     M = assemble_lmi_matrix(problem, P, R_lmi, l1, l2, thetas)
     return np.linalg.eigvalsh(M)[..., -1], M
 
@@ -202,7 +179,7 @@ def verify_gains(problem: LmiProblem, P, R_lmi, l1, l2,
     feasible = (max_eig < -tol) and norm1 <= 1.0 and norm2 <= 1.0
     return LmiCertificate(
         feasible=feasible, max_eigenvalue=max_eig,
-        worst_theta=thetas.theta[worst], norm_l1C=norm1, norm_l2C=norm2,
+        worst_theta=thetas[worst], norm_l1C=norm1, norm_l2C=norm2,
         mode=mode, tolerance=tol,
         vertex_eigenvalues=eigs if mode == "all_vertices" else None)
 
@@ -298,7 +275,7 @@ def _norm_weights(problem: LmiProblem) -> np.ndarray:
                      [1, n * n, n * q, n * q, n * q])
 
 
-def _penalties(problem: LmiProblem, p1, thetas: _ThetaStack, bound=np.inf,
+def _penalties(problem: LmiProblem, p1, thetas, bound=np.inf,
                minorant=None):
     """One entry per candidate row p1 = (1, P, R_lmi, l1, l2) of a stack
     (K, 1 + n^2 + 3nq) and, with several thetas, the minorant (G, w) of the
@@ -335,10 +312,10 @@ def _penalties(problem: LmiProblem, p1, thetas: _ThetaStack, bound=np.inf,
         pens[low] += 100.0 * (hinge[:, 0] + hinge[:, 1])
     entries[live] = pens
     below = low[pens[low] < bound]
-    if len(thetas.theta) == 1 or not len(below):
+    if len(thetas) == 1 or not len(below):
         return entries, None
     # eigh for the top eigenvectors only, the penalties stay those of eigvalsh
-    G = _minorant(problem, thetas.theta,
+    G = _minorant(problem, thetas,
                   np.linalg.eigh(M[below[0]])[1][..., -1])
     return entries, (G, _norm_weights(problem) if minorant is None
                      else minorant[1])
@@ -362,12 +339,12 @@ def synthesize_gains(problem: LmiProblem, search: SearchParams = SearchParams(),
     on the guess that none of them is accepted; the first accepted one ends
     the batch, and the noise drawn for the candidates after it is used by the
     next batch.  A batch's noise is drawn in one call, row by row in the
-    order of the one-candidate loop.  The theta products are formed once per
-    search; with several thetas only the candidates whose subgradient lower
-    bound, taken at the best point's top eigenvectors, does not already
-    reject them are evaluated at all of them, and only the candidates whose
-    top eigenvalue could still be accepted take their injection norms.  The
-    result is that of evaluating one candidate at a time at every theta.
+    order of the one-candidate loop.  With several thetas only the
+    candidates whose subgradient lower bound, taken at the best point's top
+    eigenvectors, does not already reject them are evaluated at all of them,
+    and only the candidates whose top eigenvalue could still be accepted
+    take their injection norms.  The result is that of evaluating one
+    candidate at a time at every theta.
     """
     n, q = problem.n, problem.q
     rng = np.random.default_rng(search.seed)

@@ -31,6 +31,17 @@ def test_assemble_trivial_instance():
     assert np.allclose(M, expected, atol=1e-14)
 
 
+@pytest.mark.parametrize("P_dim, theta_shape",
+                         [(3, (2, 2)), (2, (3, 3)), (2, (4, 3, 3))],
+                         ids=["P", "theta", "theta-stack"])
+def test_assembly_rejects_a_dimension_mismatch(P_dim, theta_shape):
+    problem = _zero_gap_problem(-np.eye(2))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        assemble_lmi_matrix(problem, np.eye(P_dim), np.zeros((2, 1)),
+                            np.zeros((2, 1)), np.zeros((2, 1)),
+                            np.ones(theta_shape))
+
+
 def test_assembled_matrix_symmetric(rng):
     for _ in range(25):
         Kf1 = rng.normal(size=(2, 2))
@@ -497,7 +508,7 @@ def test_subgradient_prune_is_exact(n, q, count, step, scale, incumbent,
     G, w = minorant
     peak = lmi._top_eigenvalues(problem, *lmi._parts(problem, best),
                                 thetas)[0].max()
-    assert len(G) == len(thetas.theta)
+    assert len(G) == len(thetas)
     assert abs(np.max(G @ best[0]) - peak) <= \
         lmi.PRUNE_SLACK * (np.abs(best[0]) @ w)
     p1 = np.repeat(best, count, axis=0)
