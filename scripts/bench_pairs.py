@@ -9,6 +9,9 @@ Pair i runs ``perfbench/run.py --workload W --runs 1 --seed S+i`` in each,
 the parent first for even i.  Each side's runs go to DIR/parent.json and
 DIR/change.json (default ``.perfbench_out/pairs``); the change's
 ``perfbench/compare.py`` compares them, and its exit code is returned.
+A run that exits 1 (an output disagrees with its reference fingerprint) or 2
+(the benchmark cannot run) stops the script with that code, naming the side,
+the pair index and the seed.
 """
 
 import argparse
@@ -58,8 +61,10 @@ def main() -> int:
                      args.workload, "--runs", "1", "--seed", str(args.seed + i),
                      "--out", str(out)],
                     cwd=sides[side]).returncode
-                if code == 2:       # the benchmark could not run at all
-                    return 2
+                if code in (1, 2):
+                    print(f"bench_pairs: the {side} run of pair {i} (seed "
+                          f"{args.seed + i}) exited {code}", file=sys.stderr)
+                    return code
                 payload = json.loads(out.read_text())
                 results[side]["stamp"] = {**payload["stamp"], "seed": args.seed,
                                           "git_revision": shas[side],

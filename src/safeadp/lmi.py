@@ -155,6 +155,15 @@ def _top_eigenvalues(problem: LmiProblem, P, R_lmi, l1, l2, thetas):
     return np.linalg.eigvalsh(M)[..., -1], M
 
 
+def _check_decay_rate(problem: LmiProblem, P) -> None:
+    """Raise a ValueError naming the decay rate if the 2 alpha P term of the
+    verification matrix overflows, as a finite alpha near the largest float
+    makes it do."""
+    if not 2.0 * problem.alpha * float(np.max(np.abs(P))) < np.inf:
+        raise ValueError(f"decay rate {problem.alpha:g} overflows the "
+                         "verification matrix")
+
+
 def _injection_norms(problem: LmiProblem, gains) -> np.ndarray:
     """|l1 C| and |l2 C| of each of K candidates, (K, 2), from its l1 and l2
     raveled into one row of `gains` (K, 2nq): the spectral norm is the
@@ -168,6 +177,7 @@ def verify_gains(problem: LmiProblem, P, R_lmi, l1, l2,
                  tol: float = FEASIBILITY_TOL) -> LmiCertificate:
     """Check negativity of the verification matrix and the injection-norm caps
     in one of the VERIFY_MODES."""
+    _check_decay_rate(problem, P)
     thetas = _thetas(problem, mode)
     eigs, _ = _top_eigenvalues(problem, np.asarray(P, float)[None], R_lmi,
                                l1, l2, thetas)
@@ -349,6 +359,7 @@ def synthesize_gains(problem: LmiProblem, search: SearchParams = SearchParams(),
     n, q = problem.n, problem.q
     rng = np.random.default_rng(search.seed)
     thetas = _thetas(problem, mode)
+    _check_decay_rate(problem, np.eye(n))   # at the starting point
 
     best = np.concatenate([[1.0], np.eye(n).ravel(), np.zeros(3 * n * q)])
     [best_pen], minorant = _penalties(problem, best[None], thetas)

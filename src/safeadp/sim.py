@@ -227,13 +227,14 @@ class _Abort(Exception):
 
 def _stage(rhs, k: int, t: float, stage: int, tau: float, *args):
     """rhs(tau, *args) as RK4 stage `stage` of step k, which starts at t.  A
-    barrier-domain or evaluation error there ends the run."""
+    barrier-domain, evaluation or floating-point error there ends the run."""
     try:
         return rhs(tau, *args)
     except BarrierDomainError as exc:
         kind = "barrier_domain" if stage == 1 else "integration_abort"
         raise _Abort(f"{kind}: {exc}") from exc
-    except (ModelEvaluationError, ObserverEvaluationError) as exc:
+    except (ModelEvaluationError, ObserverEvaluationError,
+            FloatingPointError) as exc:
         raise _Abort(f"evaluation_error at step {k}, t={t:.6g}, RK4 stage "
                      f"{stage}: {type(exc).__name__}: {exc}") from exc
 
@@ -324,34 +325,42 @@ def run(problem: ControlProblem) -> tuple[TrajectoryLog, RunSummary]:
                              problem.learn, gains.alpha)
     rhs = _make_rhs(problem, critic)
 
+    # an overflow, invalid operation or division by zero anywhere in a step
+    # ends the run; underflow, which the log-cosh cost meets, does not
     try:
-        for k in range(steps + 1):
-            t = k * cfg.dt
-            k1, (u, delta, S, env) = _stage(rhs, k, t, 1, t, x, xh, W, G, True)
-            excite = excitation_level(S, len(critic.points))
-            err = float(np.linalg.norm(x - xh))
-            hx = float(spec.h(x)) if spec is not None else float("nan")
-            hr = (float(spec.h(xh)) - spec.ell * env) if spec is not None else float("nan")
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for k in range(steps + 1):
+                t = k * cfg.dt
+                k1, (u, delta, S, env) = _stage(rhs, k, t, 1, t, x, xh, W, G,
+                                                True)
+                excite = excitation_level(S, len(critic.points))
+                err = float(np.linalg.norm(x - xh))
+                hx = float(spec.h(x)) if spec is not None else float("nan")
+                hr = ((float(spec.h(xh)) - spec.ell * env) if spec is not None
+                      else float("nan"))
 
-            if k % cfg.log_every == 0:
-                log.append(t=t, x=x, x_hat=xh, envelope=env, u=u, weights=W,
-                           delta=delta, h=hx, h_robust=hr, err=err,
-                           gain_min=gev[0], gain_max=gev[-1],
-                           gain_asym=asym_last, excitation=excite)
+                if k % cfg.log_every == 0:
+                    log.append(t=t, x=x, x_hat=xh, envelope=env, u=u,
+                               weights=W, delta=delta, h=hx, h_robust=hr,
+                               err=err, gain_min=gev[0], gain_max=gev[-1],
+                               gain_asym=asym_last, excitation=excite)
 
-            if observer_enabled and err > env * (1.0 + 1e-9):
-                emit("error_envelope", t, f"err={err:.6g} > envelope={env:.6g}")
-            if spec is not None and hx < 0:
-                emit("safety_h", t, f"h(x)={hx:.6g} < 0")
-            if np.any(np.abs(u) >= model.u_bar):
-                emit("saturation", t, f"|u|={np.max(np.abs(u)):.6g}")
-            if excite < cfg.excitation_warn:
-                emit("excitation", t, f"excitation={excite:.3e}")  # warn-only
-            if k < steps:
-                x, xh, W, G, asym_last, gev = _rk4_step(rhs, cfg.dt, t, x, xh,
-                                                        W, G, k1, k)
+                if observer_enabled and err > env * (1.0 + 1e-9):
+                    emit("error_envelope", t,
+                         f"err={err:.6g} > envelope={env:.6g}")
+                if spec is not None and hx < 0:
+                    emit("safety_h", t, f"h(x)={hx:.6g} < 0")
+                if np.any(np.abs(u) >= model.u_bar):
+                    emit("saturation", t, f"|u|={np.max(np.abs(u)):.6g}")
+                if excite < cfg.excitation_warn:
+                    emit("excitation", t, f"excitation={excite:.3e}")  # warn-only
+                if k < steps:
+                    x, xh, W, G, asym_last, gev = _rk4_step(
+                        rhs, cfg.dt, t, x, xh, W, G, k1, k)
     except _Abort as exc:
         abort_reason = str(exc)
+    except FloatingPointError:
+        abort_reason = f"integration_abort: integration diverged at t={t:.6g}"
     else:
         term_x = float(np.linalg.norm(x))
         if cfg.ultimate_bound_x is not None and term_x > cfg.ultimate_bound_x:

@@ -425,6 +425,28 @@ def test_cli_run_nonfinite_plant_is_machine_readable(tmp_path, capsys,
     assert summary["abort_reason"] == payload["reason"]
 
 
+# finite closed-loop parameters that pass their range checks but overflow the
+# first steps' arithmetic
+OVERFLOWING_FIELDS = [("learning", "k_c"), ("learning", "gamma_c"),
+                      ("learning", "beta"), ("learning", "margin_floor"),
+                      ("observer", "eps0"), ("safety", "ell")]
+
+
+@pytest.mark.parametrize("section, key", OVERFLOWING_FIELDS,
+                         ids=[f"{s}.{k}" for s, k in OVERFLOWING_FIELDS])
+def test_cli_run_overflow_is_a_run_abort(tmp_path, capsys, section, key):
+    raw = preset("study1").to_dict()
+    raw[section][key] = 1e308
+    cfg_file = tmp_path / "huge.json"
+    cfg_file.write_text(json.dumps(raw))
+    code = main(["run", "--config", str(cfg_file), "--horizon", "0.05",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["error"] == "run_aborted"
+    assert "FloatingPointError" in payload["reason"]
+
+
 def _fail_if_called(*args, **kwargs):
     raise AssertionError("the closed loop was started")
 
@@ -575,6 +597,7 @@ INVALID_VALUES = [
     ("audit-bounds", ("model", "box_halfwidth", 1e308), []),
     ("run", ("observer", "alpha", 1e308), []),
     ("verify-lmi", ("observer", "alpha", 1e308), []),
+    ("synthesize", ("observer", "alpha", 1e308), ["--budget", "5"]),
 ]
 
 
@@ -627,6 +650,22 @@ def test_cli_invalid_value_is_a_config_error(tmp_path, capsys, command, edit,
     assert json.loads(err.strip().splitlines()[-1])["error"] == "config_error"
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["run"], ["verify-lmi"],
+                                  ["synthesize", "--budget", "5"]],
+                         ids=["run", "verify-lmi", "synthesize"])
+def test_overflowing_decay_rate_is_named(tmp_path, capsys, argv):
+    raw = preset("study1").to_dict()
+    raw["observer"]["alpha"] = 1e308
+    cfg_file = tmp_path / "bad.json"
+    cfg_file.write_text(json.dumps(raw))
+    assert main([*argv, "--config", str(cfg_file),
+                 "--out", str(tmp_path / "out")]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "config_error",
+                       "reason": "observer: decay rate 1e+308 overflows the "
+                                 "verification matrix"}
 
 
 # (edit as in INVALID_VALUES, the reason of the config_error): a value that

@@ -108,6 +108,16 @@ def test_nan_decay_rate_is_rejected():
         _zero_gap_problem(-3.0 * np.eye(2), alpha=float("nan"))
 
 
+def test_overflowing_decay_rate_is_named():
+    # finite, but 2 alpha P overflows: no gain check or search starts
+    problem = _zero_gap_problem(-3.0 * np.eye(2), alpha=1e308)
+    zero = np.zeros((2, 1))
+    with pytest.raises(ValueError, match="decay rate 1e\\+308 overflows"):
+        verify_gains(problem, np.eye(2), zero, zero, zero)
+    with pytest.raises(ValueError, match="decay rate 1e\\+308 overflows"):
+        synthesize_gains(problem, SearchParams(budget=5))
+
+
 def test_vertex_enumeration_refuses_large_state(monkeypatch):
     # n = 4 would enumerate 2^16 matrices; the cap must fire before any
     # vertex is built, in a verification and in a search

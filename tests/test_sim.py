@@ -298,6 +298,22 @@ def test_nonfinite_gain_derivative_aborts_as_divergence(monkeypatch):
     assert log.size == 1 and summary.steps == 0
 
 
+def test_overflow_outside_the_stages_aborts_as_divergence(monkeypatch):
+    level, calls = sim.excitation_level, []
+
+    def overflowing_level(S, count):
+        calls.append(S)
+        if len(calls) == 3:             # the monitors of step 2
+            return float(np.float64(1e308) * 10.0)
+        return level(S, count)
+
+    monkeypatch.setattr(sim, "excitation_level", overflowing_level)
+    log, summary = run(_problem(T=0.1))
+    assert summary.abort_reason == ("integration_abort: integration diverged "
+                                    "at t=0.02")
+    assert log.size == 2 and summary.steps == 2
+
+
 def test_monitor_events_one_record_per_monitor_in_first_hit_order():
     # a do-nothing observer lets the error outgrow the envelope, starting
     # within the initial-error slack; the horizon is past the ultimate bound
