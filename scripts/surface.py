@@ -2,13 +2,13 @@
 """Print the size of the package source, of its public surface and of its
 command line.
 
-Three numbers: the line count of ``src/safeadp/*.py`` (what
-``cat src/safeadp/*.py | wc -l`` prints); the count of public names, which
-is the module-level functions and classes plus the methods and properties of
-those classes whose names do not start with an underscore (nested functions
-and dataclass fields are not counted); and the count of CLI options, the
-optional arguments of every subcommand of ``safeadp.cli.build_parser()``
-with ``-h`` excluded.
+The line count of ``src/safeadp/*.py`` (what ``cat src/safeadp/*.py | wc -l``
+prints), followed by that of each module (what ``wc -l src/safeadp/*.py``
+prints); the count of public names, which is the module-level functions
+and classes plus the methods and properties of those classes whose names do
+not start with an underscore (nested functions and dataclass fields are not
+counted); and the count of CLI options, the optional arguments of every
+subcommand of ``safeadp.cli.build_parser()`` with ``-h`` excluded.
 
     python3 scripts/surface.py [SRC_DIR]
 """
@@ -26,12 +26,13 @@ def _public(node) -> bool:
     return isinstance(node, _DEFS) and not node.name.startswith("_")
 
 
-def surface(src: Path) -> tuple[int, list[str]]:
-    """(line count, sorted public names as module.name or module.Class.name)."""
-    lines, names = 0, []
+def surface(src: Path) -> tuple[dict[str, int], list[str]]:
+    """(line count of each module file, sorted public names as module.name
+    or module.Class.name)."""
+    lines, names = {}, []
     for path in sorted(src.glob("*.py")):
         text = path.read_text()
-        lines += text.count("\n")
+        lines[path.name] = text.count("\n")
         for node in ast.parse(text).body:
             if not _public(node):
                 continue
@@ -56,7 +57,9 @@ def cli_options(src: Path) -> int:
 def main(argv) -> int:
     src = Path(argv[0]) if argv else DEFAULT_SRC
     lines, names = surface(src)
-    print(f"src lines: {lines}")
+    print(f"src lines: {sum(lines.values())}")
+    for module, count in lines.items():
+        print(f"  {module}: {count}")
     print(f"public names: {len(names)}")
     print(f"cli options: {cli_options(src)}")
     return 0

@@ -23,7 +23,7 @@ from .critic import LearningConfig, quadratic_basis_2d
 from .model import MODEL_REGISTRY, SystemModel
 from .observer import ObserverGains
 from .safety import SafetySpec, circular_obstacle, parabola_interior
-from .sim import ControlProblem, SimConfig
+from .sim import FP_RAISE, ControlProblem, SimConfig
 
 
 class ConfigError(ValueError):
@@ -32,14 +32,16 @@ class ConfigError(ValueError):
 
 @contextmanager
 def _invalid(ctx: str):
-    """Re-raise a ValueError or TypeError about a config value, or the
-    MemoryError of a value too large to allocate, as a ConfigError naming
-    its section."""
+    """Re-raise a ValueError or TypeError about a config value, the
+    MemoryError of a value too large to allocate, or the FloatingPointError
+    of one that breaks the step loop's floating-point rule (`FP_RAISE`), as a
+    ConfigError naming its section."""
     try:
-        yield
+        with np.errstate(**FP_RAISE):
+            yield
     except ConfigError:
         raise
-    except (TypeError, ValueError, MemoryError) as exc:
+    except (TypeError, ValueError, MemoryError, FloatingPointError) as exc:
         raise ConfigError(f"{ctx}: {exc}") from exc
 
 

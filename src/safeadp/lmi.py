@@ -211,15 +211,17 @@ class SearchParams:
 
 PD_FLOOR = 1e-6     # smallest eigenvalue of a candidate P
 BATCH = 16          # candidates the search evaluates in one kernel call
-# Rounding slack of the subgradient prune.  With N(p) = |p1| . w, a bound on
-# |M(p, theta)|_2 (`_norm_weights`), and u = 2^-53, a candidate's computed top
-# eigenvalue is at least its computed max_t G[t] . p1 less three errors:
-# LAPACK's eigenvalue of the assembled matrix (backward stable, a small
-# multiple of 2n u N(p)); the assembly (a few rounded products per entry);
-# and the affine evaluation (G from a few products per entry, each
-# |G[t, k]| <= w_k, a dot product of at most 41 terms, and |v| = 1 only to
-# rounding).  For 2n <= 6 each is below 10^3 u N(p); the slack, 1e-9 N(p),
-# is about 10^7 u N(p).
+# Rounding slack of the subgradient prune.  Let M_k be the `_affine_terms`,
+# u = 2^-53 and w_k = max(max_t |M_k(theta_t)|_F, 10^-3 w_0), so that N(p) =
+# |p1| . w bounds |M(p, theta_t)|_2.  A candidate's computed top eigenvalue
+# is at least its computed max_t G[t] . p1 less three errors: LAPACK's
+# eigenvalue of the assembled matrix (backward stable, a small multiple of
+# 2n u N(p)); the assembly (a few rounded products per entry); and the
+# affine evaluation (M_k is the difference of two assemblies, so it is off
+# by a few u (|M_0| + |M_k|) <= a few 10^3 u w_k, which is what the floor on
+# w_k is for; and G[t] . p1 sums at most 28 quadratic forms v^T M_k v, with
+# |v| = 1 only to rounding).  For 2n <= 6 each is below 10^4 u N(p); the
+# slack, 1e-9 N(p), is about 10^7 u N(p).
 PRUNE_SLACK = 1e-9
 
 
@@ -238,60 +240,27 @@ def _parts(problem: LmiProblem, p1: np.ndarray):
     return [p1[:, a:b].reshape(len(p1), n, -1) for a, b in zip(cuts, cuts[1:])]
 
 
-def _minorant(problem: LmiProblem, thetas, v):
-    """Affine minorants of the top eigenvalue at each of T thetas, taken at
-    unit vectors v (T, 2n): the rows G[t] over p1 = (1, P, R_lmi, l1, l2),
-    raveled, with v_t^T M(p, theta_t) v_t = G[t] . p1 for every p, so
-    lambda_max(M(p, theta_t)) >= G[t] . p1.  With (a, b) = v_t and
-    theta a = theta_t a, G[t] = (c, g_P, g_R, g_l1, g_l2) where
-        c    = 2 b^T (gap_f + gap_g) a - 3 b^T b,
-        g_P  = (A theta a) a^T + a (A theta a)^T + 2 alpha a a^T
-               + 2 sqrt2 b a^T,
-        g_R  = -2 a (C theta a)^T,
-        g_l1 = -2 (gap_f^T b) (C a)^T,   g_l2 = -2 (gap_g^T b) (C a)^T.
-    g_P keeps its two transposed terms because a candidate P is symmetric
-    only to rounding, and the assembly uses it unsymmetrized."""
-    gap_f, gap_g = problem.gap_f, problem.gap_g
-    a, b = v[:, :problem.n], v[:, problem.n:]
-    theta_a = np.einsum("tij,tj->ti", thetas, a)
-    A_a, C_a = theta_a @ problem.A.T, theta_a @ problem.C.T
-    Ca = a @ problem.C.T
-
-    def outer(x, y):
-        return (x[:, :, None] * y[:, None, :]).reshape(len(v), -1)
-
-    return np.concatenate([
-        (2.0 * np.einsum("ti,ti->t", b, a @ (gap_f + gap_g).T)
-         - 3.0 * np.einsum("ti,ti->t", b, b))[:, None],
-        outer(A_a, a) + outer(a, A_a) + 2.0 * problem.alpha * outer(a, a)
-        + 2.0 * np.sqrt(2.0) * outer(b, a),
-        -2.0 * outer(a, C_a),
-        -2.0 * outer(b @ gap_f, Ca),
-        -2.0 * outer(b @ gap_g, Ca)], axis=1)
-
-
-def _norm_weights(problem: LmiProblem) -> np.ndarray:
-    """Weights w over p1 with |M(p, theta)|_2 <= |p1| . w for every theta of
-    the cube: the matrix is M_0 + sum_k p_k M_k(theta), and |theta|_2 <= n,
-    so |M_0| <= 3 + |gap_f| + |gap_g|, |M_P_ij| <= 2n|A| + 2 alpha + sqrt2,
-    |M_R_ij| <= 2n|C|, |M_l1_ij| <= |gap_f||C| and |M_l2_ij| <= |gap_g||C|
-    (Frobenius norms on the right)."""
-    n, q, norm = problem.n, problem.q, np.linalg.norm
-    A, C = norm(problem.A), norm(problem.C)
-    gap_f, gap_g = norm(problem.gap_f), norm(problem.gap_g)
-    return np.repeat([3.0 + gap_f + gap_g,
-                      2.0 * n * A + 2.0 * problem.alpha + np.sqrt(2.0),
-                      2.0 * n * C, gap_f * C, gap_g * C],
-                     [1, n * n, n * q, n * q, n * q])
+def _affine_terms(problem: LmiProblem, thetas) -> np.ndarray:
+    """The stack (K, T, 2n, 2n) of the terms M_k(theta_t) of the matrix over
+    the K entries of p1 = (1, P, R_lmi, l1, l2), with M(p, theta_t) =
+    sum_k p1_k M_k(theta_t) for every p: the matrix is affine in p1, so one
+    assembly at the rows (1, 0) and (1, e_k) gives M_0 and M_0 + M_k."""
+    rows = np.eye(1 + problem.n * (problem.n + 3 * problem.q))
+    rows[:, 0] = 1.0
+    terms = assemble_lmi_matrix(problem, *_parts(problem, rows), thetas)
+    terms[1:] -= terms[0]
+    return terms
 
 
 def _penalties(problem: LmiProblem, p1, thetas, bound=np.inf,
                minorant=None):
     """One entry per candidate row p1 = (1, P, R_lmi, l1, l2) of a stack
-    (K, 1 + n^2 + 3nq) and, with several thetas, the minorant (G, w) of the
-    first candidate whose penalty is below bound: its `_minorant` rows at its
-    top eigenvectors and the `_norm_weights` (None if no penalty is below
-    bound).
+    (K, 1 + n^2 + 3nq) and, with several thetas, the minorant (G, w, terms)
+    of the first candidate whose penalty is below bound (None if no penalty
+    is below bound): the rows G[t] = v_t^T M_k(theta_t) v_t over k, at its
+    top eigenvectors v_t, so that lambda_max(M(p, theta_t)) >= G[t] . p1 for
+    every p; the `PRUNE_SLACK` weights w; and the `_affine_terms`, built on
+    the first call and carried from then on.
 
     A penalty is the top eigenvalue over thetas plus a hinge on the
     injection norms.  An entry below bound is the candidate's penalty, bit
@@ -305,7 +274,7 @@ def _penalties(problem: LmiProblem, p1, thetas, bound=np.inf,
     """
     entries, live = np.empty(len(p1)), slice(None)
     if minorant is not None:
-        G, w = minorant
+        G, w, terms = minorant
         entries = (np.max(p1 @ G.T, axis=1)
                    - PRUNE_SLACK * (np.abs(p1) @ w))
         live = np.flatnonzero(entries < bound)
@@ -324,11 +293,14 @@ def _penalties(problem: LmiProblem, p1, thetas, bound=np.inf,
     below = low[pens[low] < bound]
     if len(thetas) == 1 or not len(below):
         return entries, None
+    if minorant is None:
+        terms = _affine_terms(problem, thetas)
+        w = np.hypot.reduce(terms.reshape(len(terms), len(thetas), -1),
+                            axis=-1).max(axis=1)   # |M_k|_F without overflow
+        np.maximum(w, 1e-3 * w[0], out=w)   # the floor of PRUNE_SLACK
     # eigh for the top eigenvectors only, the penalties stay those of eigvalsh
-    G = _minorant(problem, thetas,
-                  np.linalg.eigh(M[below[0]])[1][..., -1])
-    return entries, (G, _norm_weights(problem) if minorant is None
-                     else minorant[1])
+    v = np.linalg.eigh(M[below[0]])[1][..., -1]
+    return entries, (np.einsum("ti,ktij,tj->tk", v, terms, v), w, terms)
 
 
 def synthesize_gains(problem: LmiProblem, search: SearchParams = SearchParams(),

@@ -23,6 +23,10 @@ from .safety import BarrierDomainError, SafetySpec
 
 EPS0_SLACK = 1.02   # relative slack on the initial-error bound check
 GAIN_FLOOR = 1e-8   # smallest eigenvalue the critic gain matrix may reach
+# The floating-point rule of the step loop and of the config build: an
+# overflow, invalid operation or division by zero raises FloatingPointError;
+# underflow, which the log-cosh cost meets, does not.
+FP_RAISE = {"over": "raise", "invalid": "raise", "divide": "raise"}
 
 
 @dataclass(frozen=True)
@@ -325,10 +329,9 @@ def run(problem: ControlProblem) -> tuple[TrajectoryLog, RunSummary]:
                              problem.learn, gains.alpha)
     rhs = _make_rhs(problem, critic)
 
-    # an overflow, invalid operation or division by zero anywhere in a step
-    # ends the run; underflow, which the log-cosh cost meets, does not
+    # a FloatingPointError anywhere in a step ends the run
     try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with np.errstate(**FP_RAISE):
             for k in range(steps + 1):
                 t = k * cfg.dt
                 k1, (u, delta, S, env) = _stage(rhs, k, t, 1, t, x, xh, W, G,

@@ -119,9 +119,10 @@ def test_tracer_counts_one_assembly_per_lmi_evaluation():
     traced, plain = _lmi_run("traced"), _lmi_run("plain")
     assert traced["out"] == plain["out"]
     assert {"lmi.verify", "lmi.synth"} <= set(traced["names"])
-    # each kernel call assembles its whole stack of candidates once
+    # each kernel call assembles its whole stack of candidates once, and the
+    # one vertex search assembles its affine terms once more
     assert traced["evaluations"] == plain["evaluations"]
-    assert traced["matrices"] == traced["evaluations"]
+    assert traced["matrices"] == traced["evaluations"] + 1
     # evaluated one at a time, the two verifications of the preset gains and
     # the two 20-candidate syntheses would take 2 + 2 * (1 + 20 + 1) calls;
     # batches take fewer

@@ -598,6 +598,13 @@ INVALID_VALUES = [
     ("run", ("observer", "alpha", 1e308), []),
     ("verify-lmi", ("observer", "alpha", 1e308), []),
     ("synthesize", ("observer", "alpha", 1e308), ["--budget", "5"]),
+    # finite gains, or a decay rate that passes at the search's starting
+    # point, whose verification matrix overflows: the config build keeps the
+    # step loop's floating-point rule
+    ("verify-lmi", ("observer.gains", "l1", [1e308, 1e308]), []),
+    ("verify-lmi", ("observer.gains", "P", [[1e308, 0.0], [0.0, 1e308]]), []),
+    ("run", ("observer.gains", "l3", [1e308, 1e308]), ["--horizon", "0.05"]),
+    ("synthesize", ("observer", "alpha", 4e307), ["--budget", "300"]),
 ]
 
 

@@ -459,14 +459,14 @@ def _p1(P, R, l1, l2):
        seed=st.integers(0, 2**32 - 1))
 def test_minorant_is_the_quadratic_form_of_the_assembled_matrix(
         n, q, count, vertices, seed):
-    # c + g . p equals v^T M(p, theta) v for every p, P unsymmetric included
+    # G[t] . p1, from the affine terms, equals v_t^T M(p, theta_t) v_t for
+    # every p, P unsymmetric included
     rng, problem, *_ = _random_instance(n, q, seed)
     thetas = (problem.theta_vertices() if vertices
               else rng.uniform(0, 1, (count, n, n)))
     v = rng.normal(size=(len(thetas), 2 * n))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    G = lmi._minorant(problem, thetas, v)
-    w = lmi._norm_weights(problem)
+    G = np.einsum("ti,ktij,tj->tk", v, lmi._affine_terms(problem, thetas), v)
     P = rng.normal(size=(count, n, n))
     R, l1, l2 = (rng.normal(size=(count, n, q)) for _ in range(3))
     p1 = _p1(P, R, l1, l2)
@@ -478,24 +478,21 @@ def test_minorant_is_the_quadratic_form_of_the_assembled_matrix(
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.sampled_from([1, 2, 3]), q=st.sampled_from([1, 2]),
+       count=st.integers(1, 9), scale=st.sampled_from([1.0, 1e3, 1e6]),
        seed=st.integers(0, 2**32 - 1))
-def test_norm_weights_bound_each_term_of_the_matrix(n, q, seed):
-    # M(p, theta) = M_0 + sum_k p_k M_k(theta): w_0 bounds |M_0| and w_k
-    # bounds |M_k| at every vertex, so |p1| . w bounds |M| on the cube
-    _, problem, *_ = _random_instance(n, q, seed)
-    w = lmi._norm_weights(problem)
-    basis = np.eye(len(w) - 1)
-    cuts = np.cumsum([n * n, n * q, n * q])
-    P, R, l1, l2 = np.split(basis, cuts, axis=1)
+def test_minorant_weights_bound_the_matrix(n, q, count, scale, seed):
+    # the weights w that an incumbent's minorant carries give
+    # |M(p, theta)|_2 <= |p1| . w at every vertex, for any candidate p
+    rng, problem, *best = _random_instance(n, q, seed)
     thetas = problem.theta_vertices()
-    zero = assemble_lmi_matrix(problem, np.zeros((n, n)), np.zeros((n, q)),
-                               np.zeros((n, q)), np.zeros((n, q)), thetas)
-    terms = assemble_lmi_matrix(problem, P.reshape(-1, n, n),
-                                R.reshape(-1, n, q), l1.reshape(-1, n, q),
-                                l2.reshape(-1, n, q), thetas) - zero
-    assert np.all(np.linalg.norm(zero, 2, axis=(-2, -1)) <= w[0])
-    assert np.all(np.linalg.norm(terms, 2, axis=(-2, -1))
-                  <= w[1:, None] * (1 + 1e-12))
+    _, (_, w, _) = lmi._penalties(problem, _p1(*(b[None] for b in best)),
+                                  thetas)
+    P = scale * rng.normal(size=(count, n, n))
+    R, l1, l2 = (scale * rng.normal(size=(count, n, q)) for _ in range(3))
+    M = assemble_lmi_matrix(problem, P, R, l1, l2, thetas)
+    bound = np.abs(_p1(P, R, l1, l2)) @ w
+    assert np.all(np.linalg.norm(M, 2, axis=(-2, -1))
+                  <= bound[:, None] * (1 + 1e-12))
 
 
 @settings(max_examples=80, deadline=None)
@@ -515,7 +512,7 @@ def test_subgradient_prune_is_exact(n, q, count, step, scale, incumbent,
     best = _p1(*(b[None] for b in best))
     [best_pen], minorant = lmi._penalties(problem, best, thetas)
     # it is taken where the incumbent peaks, so there it is tight
-    G, w = minorant
+    G, w, _ = minorant
     peak = lmi._top_eigenvalues(problem, *lmi._parts(problem, best),
                                 thetas)[0].max()
     assert len(G) == len(thetas)

@@ -1,6 +1,7 @@
 """scripts/surface.py, the size measure of the package, against counts made
 another way: the newlines of the source files and the flags that each
-subcommand's --help lists."""
+subcommand's --help lists; and its printed module counts against its
+printed total."""
 
 import contextlib
 import importlib.util
@@ -30,7 +31,18 @@ def _help(*argv) -> str:
 
 def test_line_count_is_the_newline_count_of_the_sources():
     lines, _ = surface.surface(SRC)
-    assert lines == sum(p.read_bytes().count(b"\n") for p in SRC.glob("*.py"))
+    assert lines == {p.name: p.read_bytes().count(b"\n")
+                     for p in SRC.glob("*.py")}
+
+
+def test_printed_module_line_counts_sum_to_the_total():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert surface.main([str(SRC)]) == 0
+    total = int(re.search(r"^src lines: (\d+)$", buf.getvalue(), re.M)[1])
+    modules = dict(re.findall(r"^  (\w+\.py): (\d+)$", buf.getvalue(), re.M))
+    assert set(modules) == {p.name for p in SRC.glob("*.py")}
+    assert sum(map(int, modules.values())) == total
 
 
 def test_public_names_are_module_level_and_method_names():
