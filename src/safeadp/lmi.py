@@ -212,8 +212,9 @@ class SearchParams:
 PD_FLOOR = 1e-6     # smallest eigenvalue of a candidate P
 BATCH = 16          # candidates the search evaluates in one kernel call
 # Rounding slack of the subgradient prune.  Let M_k be the `_affine_terms`,
-# u = 2^-53 and w_k = max(max_t |M_k(theta_t)|_F, 10^-3 w_0), so that N(p) =
-# |p1| . w bounds |M(p, theta_t)|_2.  A candidate's computed top eigenvalue
+# u = 2^-53 and w_k = max(max_t |M_k(theta_t)|_2, 10^-3 w_0), so that N(p) =
+# |p1| . w bounds |M(p, theta_t)|_2 (to the few 2n u w_k by which LAPACK's
+# eigenvalues give each norm).  A candidate's computed top eigenvalue
 # is at least its computed max_t G[t] . p1 less three errors: LAPACK's
 # eigenvalue of the assembled matrix (backward stable, a small multiple of
 # 2n u N(p)); the assembly (a few rounded products per entry); and the
@@ -295,8 +296,7 @@ def _penalties(problem: LmiProblem, p1, thetas, bound=np.inf,
         return entries, None
     if minorant is None:
         terms = _affine_terms(problem, thetas)
-        w = np.hypot.reduce(terms.reshape(len(terms), len(thetas), -1),
-                            axis=-1).max(axis=1)   # |M_k|_F without overflow
+        w = np.abs(np.linalg.eigvalsh(terms)).max(axis=(1, 2))  # |M_k|_2
         np.maximum(w, 1e-3 * w[0], out=w)   # the floor of PRUNE_SLACK
     # eigh for the top eigenvectors only, the penalties stay those of eigvalsh
     v = np.linalg.eigh(M[below[0]])[1][..., -1]

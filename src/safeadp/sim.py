@@ -307,7 +307,8 @@ def run(problem: ControlProblem) -> tuple[TrajectoryLog, RunSummary]:
         if name in stopping:
             raise _Abort(f"monitor_abort at t={t:.6g}")
 
-    err0 = float(np.linalg.norm(x0 - x_hat0))
+    with np.errstate(over="ignore"):    # a huge error is inf > eps0
+        err0 = float(np.linalg.norm(x0 - x_hat0))
     if observer_enabled and err0 > gains.eps0:
         if err0 > gains.eps0 * EPS0_SLACK:
             raise ValueError(

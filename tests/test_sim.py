@@ -93,6 +93,9 @@ def test_initial_error_bound_enforced_with_slack():
     # beyond slack: rejected
     with pytest.raises(ValueError):
         run(_problem(x0=(0.0, 0.0), x_hat0=(1.2, 0.0), eps0=1.0, T=0.05))
+    # so is an error too large for the norm, without a warning
+    with pytest.raises(ValueError, match="error inf exceeds"):
+        run(_problem(x0=(1e308, 0.0), x_hat0=(-1e308, 0.0), eps0=1.0, T=0.05))
 
 
 def test_envelope_monitor_warn_and_abort():
